@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _apply, add, div, mul, sqrt, square, sub, tmean
+from .autodiff import Tensor, _apply, mul
+
+# unused here; perfbench/tracer.py patches these names in this module,
+# so they stay importable from it
+from .autodiff import add, div, sqrt, square, sub, tmean  # noqa: F401
 
 MODES = ("standard", "literal")
 PHASES = ("train", "infer")
@@ -276,7 +280,12 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
 
     Training normalizes by batch statistics (population variance) and
     folds them into the running buffers; inference normalizes by the
-    buffers and leaves them untouched.
+    buffers and leaves them untouched. The whole layer is one tape op
+    whose backward is the closed form of Ioffe & Szegedy (2015): with
+    ``xc = x - mean`` and ``inv`` the reciprocal of the divisor, the
+    centred gradient is ``gy * inv + xc * 2 * gvar / N`` and the input
+    gradient is that minus its per-channel mean (training only, since
+    inference statistics are constants).
     """
     training = _check_phase(phase)
     if batch.data.ndim != 4:
@@ -286,28 +295,55 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
         raise ValueError(f"batch norm expects {channels} channels, got {batch.shape[3]}")
     if (layer.running_var.data < 0).any():
         raise ValueError("running_var must be non-negative")
-    dtype = batch.data.dtype
+    x = batch.data
+    dtype = x.dtype
+    axes = (0, 1, 2)
     if training:
-        mu = tmean(batch, axis=(0, 1, 2))
-        centred = sub(batch, mu)
-        var = tmean(square(centred), axis=(0, 1, 2))
+        mu = x.mean(axis=axes, dtype=dtype)
+        xc = x - mu
+        var = (xc * xc).mean(axis=axes, dtype=dtype)
         m = layer.momentum
         rdtype = layer.running_mean.data.dtype
         layer.running_mean = Tensor._wrap(
-            (m * layer.running_mean.data + (1.0 - m) * mu.data).astype(rdtype)
+            (m * layer.running_mean.data + (1.0 - m) * mu).astype(rdtype)
         )
         layer.running_var = Tensor._wrap(
-            (m * layer.running_var.data + (1.0 - m) * var.data).astype(rdtype)
+            (m * layer.running_var.data + (1.0 - m) * var).astype(rdtype)
         )
     else:
-        mu = Tensor(layer.running_mean.data.astype(dtype))
-        var = Tensor(layer.running_var.data.astype(dtype))
-        centred = sub(batch, mu)
-    eps = Tensor(np.asarray(layer.epsilon, dtype=dtype))
-    if layer.mode == "literal":
-        return div(centred, add(var, eps))
-    normed = div(centred, sqrt(add(var, eps)))
-    return add(mul(normed, layer.gamma), layer.beta)
+        var = layer.running_var.data.astype(dtype)
+        xc = x - layer.running_mean.data.astype(dtype)
+    literal = layer.mode == "literal"
+    shifted = var + np.asarray(layer.epsilon, dtype=dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # literal mode divides by the variance itself, standard by its root
+        divisor = shifted if literal else np.sqrt(shifted)
+        out = xc / divisor
+        inv = 1.0 / divisor
+    gamma = layer.gamma.data
+    if not literal:
+        out *= gamma
+        out += layer.beta.data
+    count = x.size // channels
+
+    # the gradient reaching the normalized values is gy * gamma (standard)
+    # or gy (literal); ``scale`` folds that factor into ``inv``
+    scale = inv if literal else gamma * inv
+
+    def bwd(g):
+        gy_xc = (g * xc).sum(axis=axes, dtype=dtype)
+        gx = g * scale
+        if training:
+            # d inv / d var: -inv^2 for 1/(var+eps), -inv^3/2 for its root
+            dinv = -inv * inv if literal else -0.5 * inv * inv * inv
+            gvar = (gy_xc if literal else gy_xc * gamma) * dinv
+            gx += xc * (2.0 * gvar / count)
+            gx -= gx.mean(axis=axes, dtype=dtype)
+        if literal:
+            return gx, None, None
+        return gx, gy_xc * inv, g.sum(axis=axes, dtype=dtype)
+
+    return _apply("batch_norm", (batch, layer.gamma, layer.beta), out, bwd)
 
 
 def dropout(x: Tensor, layer: DropoutLayer, phase: str) -> Tensor:

@@ -57,7 +57,9 @@ class SuperpixelMap:
     ids are dense and ordered by first appearance in row-major scan.
     ``counts`` and ``feature_means`` hold each segment's pixel count and
     mean feature vector; ``features`` keeps the source raster so the
-    statistics can be recomputed after segments are reshaped.
+    statistics can be recomputed after segments are reshaped. A map
+    built from labels alone (a pooling partition) has neither: both
+    are None.
     ``center_motion`` records the summed Euclidean center displacement
     of each clustering iteration that ran.
     """
@@ -65,8 +67,8 @@ class SuperpixelMap:
     labels: np.ndarray
     n_segments: int
     counts: np.ndarray
-    feature_means: np.ndarray
-    features: np.ndarray
+    feature_means: np.ndarray | None
+    features: np.ndarray | None
     center_motion: tuple[float, ...] = field(default_factory=tuple)
     converged: bool = False
 
@@ -78,26 +80,31 @@ class SuperpixelMap:
     def from_labels(
         cls,
         labels: np.ndarray,
-        features: np.ndarray,
+        features: np.ndarray | None = None,
         center_motion: tuple[float, ...] = (),
         converged: bool = False,
     ) -> "SuperpixelMap":
-        """Build a map from a label raster, validating the partition."""
+        """Build a map from a label raster, validating the partition.
+
+        Without ``features`` the map carries labels and counts only,
+        which is all that pooling needs.
+        """
         labels = np.asarray(labels)
-        features = np.asarray(features, dtype=np.float64)
         if labels.ndim != 2:
             raise ValueError(f"labels must be [h, w], got shape {labels.shape}")
-        if features.ndim != 3 or features.shape[:2] != labels.shape:
-            raise ValueError(
-                f"features shape {features.shape} does not cover labels {labels.shape}"
-            )
+        if features is not None:
+            features = np.asarray(features, dtype=np.float64)
+            if features.ndim != 3 or features.shape[:2] != labels.shape:
+                raise ValueError(
+                    f"features shape {features.shape} does not cover labels {labels.shape}"
+                )
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         n = int(labels.max()) + 1
         counts = np.bincount(labels.ravel(), minlength=n)
         if labels.min() < 0 or (counts == 0).any():
             raise ValueError("labels must be dense in [0, S) with no empty segment")
-        means = segment_means(features, labels, n)
+        means = None if features is None else segment_means(features, labels, n)
         return cls(
             labels=labels.astype(np.int64),
             n_segments=n,
@@ -327,6 +334,9 @@ def slic_segment(features, params: SlicParams) -> SuperpixelMap:
         raise ValueError(f"k_desired {k} exceeds pixel count {h * w}")
 
     positions, cfeats, s_grid = seed_centers(feat, k)
+    ys, xs = np.mgrid[0:h, 0:w]
+    ys, xs = ys.ravel(), xs.ravel()
+    pixels = feat.reshape(-1, feat.shape[2])
     motion_history: list[float] = []
     converged = False
     labels = None
@@ -335,11 +345,9 @@ def slic_segment(features, params: SlicParams) -> SuperpixelMap:
         labels = assign_pixels(feat, positions, cfeats, s_grid, params.m)
         flat = labels.ravel()
         counts = np.bincount(flat, minlength=len(positions))
-        csum = np.zeros_like(cfeats)
-        np.add.at(csum, flat, feat.reshape(-1, feat.shape[2]))
-        ys, xs = np.mgrid[0:h, 0:w]
-        ysum = np.bincount(flat, weights=ys.ravel(), minlength=len(positions))
-        xsum = np.bincount(flat, weights=xs.ravel(), minlength=len(positions))
+        csum = _label_sums(flat, pixels, len(positions))
+        ysum = np.bincount(flat, weights=ys, minlength=len(positions))
+        xsum = np.bincount(flat, weights=xs, minlength=len(positions))
 
         occupied = counts > 0
         new_positions = positions.copy()
@@ -361,6 +369,18 @@ def slic_segment(features, params: SlicParams) -> SuperpixelMap:
     )
 
 
+def _label_sums(flat: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Float64 per-label sums of [pixels, c] values: [n, c].
+
+    One ``np.bincount`` per channel; each adds in pixel order in float64,
+    the same sequence of additions as ``np.add.at`` on a float64 buffer.
+    """
+    return np.stack(
+        [np.bincount(flat, weights=values[:, j], minlength=n) for j in range(values.shape[1])],
+        axis=1,
+    )
+
+
 def segment_means(values: np.ndarray, labels: np.ndarray, n_segments: int) -> np.ndarray:
     """Mean of ``values`` ([h, w] or [h, w, c]) over each label."""
     if labels.shape != values.shape[:2]:
@@ -373,13 +393,8 @@ def segment_means(values: np.ndarray, labels: np.ndarray, n_segments: int) -> np
     counts = np.bincount(flat, minlength=n_segments)
     if (counts == 0).any():
         raise ValueError("every segment must own at least one pixel")
-    if values.ndim == 2:
-        sums = np.bincount(flat, weights=values.ravel(), minlength=n_segments)
-        return sums / counts
-    vf = values.reshape(-1, values.shape[2])
-    sums = np.zeros((n_segments, values.shape[2]), dtype=np.float64)
-    np.add.at(sums, flat, vf)
-    return sums / counts[:, None]
+    means = _label_sums(flat, values.reshape(flat.size, -1), n_segments) / counts[:, None]
+    return means if values.ndim == 3 else means[:, 0]
 
 
 def superpixel_mean(spmap: SuperpixelMap, features: Tensor) -> Tensor:

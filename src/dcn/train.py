@@ -287,9 +287,7 @@ def _batch_gradients(model, prepared, indexes):
         truth_parts.append(truth)
         weight_parts.append(counts / (n * counts.sum()))
     tall_labels = np.vstack(labels_parts)
-    combined = SuperpixelMap.from_labels(
-        tall_labels, tall_labels[:, :, None].astype(np.float64)
-    )
+    combined = SuperpixelMap.from_labels(tall_labels)
     truth_all = np.concatenate(truth_parts)
     weights_all = np.concatenate(weight_parts)
 

@@ -351,6 +351,45 @@ class TestThreadCap:
         capsys.readouterr()
 
 
+class TestLazyPackage:
+    """``import dcn.cli`` must not load numpy, or DCN_THREADS would come too late."""
+
+    def _python(self, code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        assert self._python("import sys, dcn.cli; print('numpy' in sys.modules)") == "False"
+
+    def test_cap_is_set_before_numpy_loads(self, tmp_path):
+        code = (
+            "import os, sys, dcn.cli\n"
+            "os.environ['DCN_THREADS'] = '1'\n"
+            "seen = []\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            f"code = dcn.cli.run(['synth', '--count', '1', '--size', '32', '--out', {str(tmp_path)!r}])\n"
+            "print(code, seen[:1])\n"
+        )
+        assert self._python(code).splitlines()[-1] == "0 ['1']"
+
+    def test_every_public_name_imports(self):
+        code = (
+            "import dcn, sys, types\n"
+            "assert 'numpy' not in sys.modules\n"
+            "for name in dcn.__all__:\n"
+            "    exec(f'from dcn import {name}')\n"
+            "    assert not isinstance(getattr(dcn, name), types.ModuleType), name\n"
+            "import dcn.train\n"
+            "print(dcn.train.__module__, len(dcn.__all__))\n"
+        )
+        assert self._python(code) == "dcn.train 54"
+
+
 class TestSubprocessEntryPoint:
     def test_module_invocation(self, workspace, tmp_path):
         out = str(tmp_path / "metrics.json")

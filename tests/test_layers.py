@@ -3,7 +3,20 @@
 import numpy as np
 import pytest
 
-from dcn.autodiff import GradTape, Tensor, backward, grad_check, mul, square, tsum
+from dcn.autodiff import (
+    GradTape,
+    Tensor,
+    add,
+    backward,
+    div,
+    grad_check,
+    mul,
+    sqrt,
+    square,
+    sub,
+    tmean,
+    tsum,
+)
 from dcn.layers import (
     BatchNormLayer,
     Conv2dLayer,
@@ -328,7 +341,91 @@ def _batch123(dtype=np.float32):
     return Tensor(np.array([1.0, 2.0, 3.0], dtype=dtype).reshape(1, 1, 3, 1))
 
 
+def composed_batch_norm(batch, layer, phase):
+    """Oracle: batch norm built from elementary tape ops, one per step."""
+    dtype = batch.data.dtype
+    if phase == "train":
+        mu = tmean(batch, axis=(0, 1, 2))
+        centred = sub(batch, mu)
+        var = tmean(square(centred), axis=(0, 1, 2))
+        m = layer.momentum
+        layer.running_mean = Tensor(m * layer.running_mean.data + (1.0 - m) * mu.data)
+        layer.running_var = Tensor(m * layer.running_var.data + (1.0 - m) * var.data)
+    else:
+        mu = Tensor(layer.running_mean.data)
+        var = Tensor(layer.running_var.data)
+        centred = sub(batch, mu)
+    eps = Tensor(np.asarray(layer.epsilon, dtype=dtype))
+    if layer.mode == "literal":
+        return div(centred, add(var, eps))
+    normed = div(centred, sqrt(add(var, eps)))
+    return add(mul(normed, layer.gamma), layer.beta)
+
+
+def _bn_case(rng, mode):
+    """A float64 layer with non-trivial affine and running state, plus a batch."""
+    layer = _bn(3, dtype=np.float64, mode=mode)
+    layer.gamma = Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
+    layer.beta = Tensor(rng.normal(size=3), requires_grad=True)
+    layer.running_mean = Tensor(rng.normal(size=3))
+    layer.running_var = Tensor(rng.uniform(0.5, 2.0, size=3))
+    x = Tensor(rng.normal(size=(2, 3, 2, 3)), requires_grad=True)
+    return layer, x
+
+
+BN_CASES = [(mode, phase) for mode in ("standard", "literal") for phase in ("train", "infer")]
+
+
 class TestBatchNorm:
+    @pytest.mark.parametrize("mode,phase", BN_CASES)
+    def test_matches_composed_oracle(self, mode, phase):
+        rng = np.random.default_rng(229)
+        for _ in range(5):
+            layer, x = _bn_case(rng, mode)
+            twin = BatchNormLayer(
+                layer.gamma, layer.beta, layer.running_mean, layer.running_var, mode=mode
+            )
+            probe = Tensor(rng.normal(size=x.shape))
+            with GradTape() as tape:
+                out = batch_norm(x, layer, phase)
+                grads = backward(tape, tsum(mul(out, probe)))
+            with GradTape() as oracle_tape:
+                want = composed_batch_norm(x, twin, phase)
+                oracle_grads = backward(oracle_tape, tsum(mul(want, probe)))
+            np.testing.assert_array_equal(out.data, want.data)
+            np.testing.assert_array_equal(layer.running_mean.data, twin.running_mean.data)
+            np.testing.assert_array_equal(layer.running_var.data, twin.running_var.data)
+            for t in (x, layer.gamma, layer.beta):
+                got = tape.gradient(grads, t).data
+                if oracle_tape.on_tape(t):
+                    expected = oracle_tape.gradient(oracle_grads, t).data
+                else:  # literal mode never reads gamma or beta
+                    expected = np.zeros_like(t.data)
+                np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("mode,phase", BN_CASES)
+    def test_fused_gradients_match_finite_differences(self, mode, phase):
+        rng = np.random.default_rng(231)
+        for trial in range(5):
+            layer, x = _bn_case(rng, mode)
+            probe = Tensor(rng.normal(size=x.shape))
+
+            # a linear readout: the gradient of a squared one passes through
+            # zero wherever an output does, where differences lose all digits
+            def f(x, gamma, beta):
+                layer.gamma, layer.beta = gamma, beta
+                return tsum(mul(batch_norm(x, layer, phase), probe))
+
+            report = grad_check(f, [x, layer.gamma, layer.beta], tolerance=1e-4)
+            assert report.passed, f"{mode}/{phase} trial {trial}: {report}"
+
+    @pytest.mark.parametrize("mode,phase", BN_CASES)
+    def test_one_tape_entry_per_layer(self, mode, phase):
+        layer, x = _bn_case(np.random.default_rng(233), mode)
+        with GradTape() as tape:
+            batch_norm(x, layer, phase)
+        assert [entry.op for entry in tape.entries] == ["batch_norm"]
+
     def test_standard_normalization_of_1_2_3(self):
         out = batch_norm(_batch123(), _bn(epsilon=1e-5), phase="train")
         np.testing.assert_allclose(out.data.ravel(), [-1.2247, 0.0, 1.2247], atol=1e-4)

@@ -5,8 +5,10 @@ import pytest
 
 from dcn.autodiff import GradTape, Tensor, backward, grad_check, square, tsum
 from dcn.superpixel import (
+    CONVERGENCE_EPS,
     SlicParams,
     SuperpixelMap,
+    _merge_fragments,
     assign_pixels,
     broadcast_labels,
     enforce_connectivity,
@@ -95,6 +97,42 @@ def _map_of(labels):
     return SuperpixelMap.from_labels(labels, feat)
 
 
+def _segment_means_add_at(values, labels, n):
+    """Oracle: float64 scatter-add in pixel order, then divide by counts."""
+    counts = np.bincount(labels.ravel(), minlength=n)
+    sums = np.zeros((n,) + values.shape[2:])
+    np.add.at(sums, labels.ravel(), values.reshape((labels.size,) + values.shape[2:]))
+    return sums / (counts[:, None] if values.ndim == 3 else counts)
+
+
+def _slic_add_at(feat, params):
+    """Oracle: the SLIC loop with np.add.at center sums, as labels, motion, converged."""
+    h, w, _ = feat.shape
+    positions, cfeats, s_grid = seed_centers(feat, params.k_desired)
+    motion, converged = [], False
+    for _ in range(params.max_iters):
+        labels = assign_pixels(feat, positions, cfeats, s_grid, params.m)
+        flat = labels.ravel()
+        counts = np.bincount(flat, minlength=len(positions))
+        csum = np.zeros_like(cfeats)
+        np.add.at(csum, flat, feat.reshape(-1, feat.shape[2]))
+        ys, xs = np.mgrid[0:h, 0:w]
+        ysum = np.bincount(flat, weights=ys.ravel(), minlength=len(positions))
+        xsum = np.bincount(flat, weights=xs.ravel(), minlength=len(positions))
+        occupied = counts > 0
+        new_positions = positions.copy()
+        new_positions[occupied, 0] = ysum[occupied] / counts[occupied]
+        new_positions[occupied, 1] = xsum[occupied] / counts[occupied]
+        cfeats[occupied] = csum[occupied] / counts[occupied, None]
+        motion.append(float(np.sqrt(((new_positions - positions) ** 2).sum(axis=1)).sum()))
+        positions = new_positions
+        if motion[-1] < CONVERGENCE_EPS:
+            converged = True
+            break
+    min_size = params.min_size_factor * (h * w / params.k_desired)
+    return _merge_fragments(labels, min_size), tuple(motion), converged
+
+
 class TestSlicParams:
     def test_defaults(self):
         p = SlicParams(k_desired=16)
@@ -131,6 +169,15 @@ class TestSuperpixelMapConstruction:
         sp = SuperpixelMap.from_labels(labels, np.ones((9, 8, 1)))
         assert sp.counts.sum() == 9 * 8
         assert sp.labels.min() == 0 and sp.labels.max() == sp.n_segments - 1
+
+    def test_labels_alone_give_counts_without_features(self):
+        rng = np.random.default_rng(313)
+        labels = _dense_random_labels(rng, 5, 6, 4)
+        sp = SuperpixelMap.from_labels(labels)
+        assert sp.features is None and sp.feature_means is None
+        np.testing.assert_array_equal(sp.counts, np.bincount(labels.ravel()))
+        with pytest.raises(ValueError):
+            SuperpixelMap.from_labels(np.array([[0, 2], [0, 2]]))  # gap at 1
 
     def test_rejects_bad_partitions(self):
         feat = np.ones((2, 2, 1))
@@ -226,6 +273,26 @@ class TestSlicSegment:
         assert sp.n_segments == 16
         assert sp.converged
         np.testing.assert_array_equal(np.bincount(sp.labels.ravel()), np.full(16, 64))
+
+    def test_bit_identical_to_add_at_oracle_on_seeded_corpus(self):
+        # random sizes and channel counts; every other image is rounded to
+        # one decimal so distances and center sums hit many exact ties
+        rng = np.random.default_rng(331)
+        for case in range(24):
+            h, w = int(rng.integers(6, 33)), int(rng.integers(6, 33))
+            feat = rng.normal(size=(h, w, int(rng.integers(1, 7))))
+            if case % 2:
+                feat = np.round(feat, 1)
+            params = SlicParams(
+                k_desired=int(rng.integers(1, h * w // 8 + 2)),
+                m=float(rng.choice([0.5, 2.0, 10.0])),
+                max_iters=int(rng.integers(1, 11)),
+            )
+            labels, motion, converged = _slic_add_at(feat.copy(), params)
+            sp = slic_segment(feat, params)
+            np.testing.assert_array_equal(sp.labels, labels, err_msg=f"case {case}")
+            assert sp.center_motion == motion, f"case {case}"
+            assert sp.converged == converged, f"case {case}"
 
     def test_half_split_never_mixes_sides(self):
         # inter-half feature gap of 1.0 dwarfs the m=1 spatial term, so no
@@ -361,6 +428,20 @@ class TestSegmentMeans:
             for s in range(4):
                 want[s] = values[labels == s].mean(axis=0)
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_bit_identical_to_add_at_oracle(self):
+        rng = np.random.default_rng(308)
+        for dtype in (np.float32, np.float64):
+            for trial in range(12):
+                h, w = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+                n = int(rng.integers(1, h * w + 1))
+                labels = _dense_random_labels(rng, h, w, n)
+                for shape in ((h, w, int(rng.integers(1, 9))), (h, w)):
+                    values = rng.normal(scale=10.0, size=shape).astype(dtype)
+                    got = segment_means(values, labels, n)
+                    want = _segment_means_add_at(values, labels, n)
+                    assert got.dtype == np.float64
+                    np.testing.assert_array_equal(got, want, err_msg=f"{dtype} trial {trial}")
 
     def test_two_dimensional_values(self):
         labels = np.array([[0, 0], [1, 1]])
