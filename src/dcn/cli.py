@@ -129,6 +129,12 @@ def _segment(tile_data, k, m):
     return slic_segment(zscore_features(tile_data), SlicParams(k_desired=k, m=m))
 
 
+def _at_most_pixels(k, flag, pixels):
+    """A superpixel count must not exceed the pixels it segments."""
+    if k > pixels:
+        raise UsageError(f"{flag} {k} exceeds the {pixels} pixels to segment")
+
+
 def _positive(value, flag):
     if value < 1:
         raise UsageError(f"{flag} must be >= 1, got {value}")
@@ -165,6 +171,7 @@ def cmd_slic(args):
     if args.compactness <= 0:
         raise UsageError(f"--compactness must be positive, got {args.compactness}")
     stack = read_bmsr(args.input)
+    _at_most_pixels(args.k, "--k", stack.width * stack.height)
     if stack.has("NIR") and stack.has("RED") and not stack.has("NDVI"):
         stack = compute_ndvi(stack)
     roles = tuple(r for r in stack.roles if r not in ("MASK", "LABELS"))
@@ -210,6 +217,7 @@ def cmd_train(args):
         raise UsageError(f"--dropout must lie in [0, 1), got {args.dropout}")
     slic_k = args.slic_k if args.slic_k is not None else (args.window * args.window) // 64
     _positive(slic_k, "--slic-k")
+    _at_most_pixels(slic_k, "--slic-k", args.window * args.window)
     if args.slic_m <= 0:
         raise UsageError(f"--slic-m must be positive, got {args.slic_m}")
 
@@ -280,6 +288,7 @@ def cmd_predict(args):
     window = model.config.tile_size
     slic_k = args.slic_k if args.slic_k is not None else (window * window) // 64
     _positive(slic_k, "--slic-k")
+    _at_most_pixels(slic_k, "--slic-k", window * window)
     if args.slic_m <= 0:
         raise UsageError(f"--slic-m must be positive, got {args.slic_m}")
 

@@ -119,6 +119,13 @@ class TestSlic:
         assert cli.run(["slic", "--input", _scene(workspace, 0), "--k", "0", "--out", out]) == 1
         assert "--k" in capsys.readouterr().err
 
+    def test_k_above_pixel_count_names_flag(self, workspace, tmp_path, capsys):
+        out = str(tmp_path / "labels.bmsr")
+        code = cli.run(["slic", "--input", _scene(workspace, 0), "--k", "4097", "--out", out])
+        assert code == 1
+        assert "--k 4097 exceeds" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, workspace):
@@ -165,6 +172,14 @@ class TestTrain:
         assert "--epochs" in capsys.readouterr().err
         assert cli.run(base + ["--dropout", "1.5"]) == 1
         assert "--dropout" in capsys.readouterr().err
+
+    def test_slic_k_above_window_pixels_names_flag(self, workspace, tmp_path, capsys):
+        out = str(tmp_path / "m.dcnw")
+        code = cli.run(["train", "--data", workspace["data"], "--out", out,
+                        "--window", "32", "--slic-k", "1025"])
+        assert code == 1
+        assert "--slic-k 1025 exceeds" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_empty_data_directory(self, tmp_path, capsys):
         data = str(tmp_path / "empty")
@@ -218,6 +233,14 @@ class TestPredict:
             )
             assert code == 0
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+    def test_slic_k_above_tile_pixels_names_flag(self, workspace, tmp_path, capsys):
+        out = str(tmp_path / "p.bmsr")
+        code = cli.run(["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
+                        "--out", out, "--slic-k", "4097"])
+        assert code == 1
+        assert "--slic-k 4097 exceeds" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_errmap_requires_truth(self, workspace, tmp_path, capsys):
         code = cli.run(

@@ -1,13 +1,19 @@
 """Superpixel clustering and pooling against flood-fill and loop oracles."""
 
+from collections import deque
+from functools import reduce
+
 import numpy as np
 import pytest
 
+import dcn
+from dcn import superpixel
 from dcn.autodiff import GradTape, Tensor, backward, grad_check, square, tsum
 from dcn.superpixel import (
     CONVERGENCE_EPS,
     SlicParams,
     SuperpixelMap,
+    _gradient_magnitude,
     _merge_fragments,
     assign_pixels,
     broadcast_labels,
@@ -105,13 +111,210 @@ def _segment_means_add_at(values, labels, n):
     return sums / (counts[:, None] if values.ndim == 3 else counts)
 
 
-def _slic_add_at(feat, params):
-    """Oracle: the SLIC loop with np.add.at center sums, as labels, motion, converged."""
+def _seed_centers_loop(feat, k):
+    """Frozen oracle: one Python iteration per grid point, 3x3 np.argmin nudge."""
+    h, w, c = feat.shape
+    s_grid = float(np.sqrt(h * w / k))
+    nx = max(1, int(round(w / s_grid)))
+    ny = max(1, int(round(h / s_grid)))
+    grad = _gradient_magnitude(feat)
+    positions = np.zeros((ny * nx, 2))
+    features = np.zeros((ny * nx, c))
+    for j in range(ny):
+        for i in range(nx):
+            cy = (j + 0.5) * h / ny
+            cx = (i + 0.5) * w / nx
+            py = min(h - 1, max(0, int(cy)))
+            px = min(w - 1, max(0, int(cx)))
+            y0, y1 = max(0, py - 1), min(h, py + 2)
+            x0, x1 = max(0, px - 1), min(w, px + 2)
+            window = grad[y0:y1, x0:x1]
+            flat = int(np.argmin(window))
+            py = y0 + flat // window.shape[1]
+            px = x0 + flat % window.shape[1]
+            idx = j * nx + i
+            positions[idx] = (py, px)
+            features[idx] = feat[py, px]
+    return positions, features, s_grid
+
+
+def _channel_sum(sq):
+    """numpy's last-axis sum, the window reduction of the frozen loop."""
+    return sq.sum(axis=-1)
+
+
+def _sequential_channel_sum(sq):
+    """Squared differences added one channel at a time, in channel order."""
+    return reduce(np.add, np.moveaxis(sq, -1, 0))
+
+
+def _assign_pixels_loop(feat, positions, center_feats, s_grid, m, window_sum=_channel_sum):
+    """Frozen oracle: one Python iteration per center, strict < keeps the lower index."""
     h, w, _ = feat.shape
-    positions, cfeats, s_grid = seed_centers(feat, params.k_desired)
+    best = np.full((h, w), np.inf)
+    labels = np.full((h, w), -1, dtype=np.int64)
+    spatial_w = (m / s_grid) ** 2
+    reach = 2.0 * s_grid
+
+    for idx in range(len(positions)):
+        cy, cx = positions[idx]
+        y0, y1 = max(0, int(cy - reach)), min(h, int(cy + reach) + 1)
+        x0, x1 = max(0, int(cx - reach)), min(w, int(cx + reach) + 1)
+        if y0 >= y1 or x0 >= x1:
+            continue
+        window = feat[y0:y1, x0:x1]
+        d_feat = window_sum((window - center_feats[idx]) ** 2)
+        ys = np.arange(y0, y1)[:, None] - cy
+        xs = np.arange(x0, x1)[None, :] - cx
+        d = np.sqrt(d_feat + spatial_w * (ys ** 2 + xs ** 2))
+        closer = d < best[y0:y1, x0:x1]
+        best[y0:y1, x0:x1] = np.where(closer, d, best[y0:y1, x0:x1])
+        labels[y0:y1, x0:x1] = np.where(closer, idx, labels[y0:y1, x0:x1])
+
+    missed = labels < 0
+    if missed.any():
+        pts = feat[missed]
+        ys, xs = np.nonzero(missed)
+        d_feat = ((pts[:, None, :] - center_feats[None, :, :]) ** 2).sum(axis=-1)
+        d_xy = (ys[:, None] - positions[None, :, 0]) ** 2 + (
+            xs[:, None] - positions[None, :, 1]
+        ) ** 2
+        d = np.sqrt(d_feat + spatial_w * d_xy)
+        labels[missed] = d.argmin(axis=1)
+    return labels
+
+
+def _merge_fragments_bfs(labels, min_size):
+    """Frozen oracle: per-pixel BFS labelling, then the smallest-first merge."""
+    h, w = labels.shape
+    comp = np.full((h, w), -1, dtype=np.int64)
+    comp_sizes = []
+    first_pixel = []
+
+    for sy in range(h):
+        for sx in range(w):
+            if comp[sy, sx] >= 0:
+                continue
+            cid = len(comp_sizes)
+            lab = labels[sy, sx]
+            queue = deque([(sy, sx)])
+            comp[sy, sx] = cid
+            size = 0
+            while queue:
+                y, x = queue.popleft()
+                size += 1
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if 0 <= ny < h and 0 <= nx < w:
+                        if comp[ny, nx] < 0 and labels[ny, nx] == lab:
+                            comp[ny, nx] = cid
+                            queue.append((ny, nx))
+            comp_sizes.append(size)
+            first_pixel.append(sy * w + sx)
+
+    n = len(comp_sizes)
+    adj = [set() for _ in range(n)]
+    right = comp[:, :-1] != comp[:, 1:]
+    for a, b in zip(comp[:, :-1][right], comp[:, 1:][right]):
+        adj[a].add(int(b))
+        adj[b].add(int(a))
+    down = comp[:-1, :] != comp[1:, :]
+    for a, b in zip(comp[:-1, :][down], comp[1:, :][down]):
+        adj[a].add(int(b))
+        adj[b].add(int(a))
+
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    sizes = dict(enumerate(comp_sizes))
+    firsts = dict(enumerate(first_pixel))
+    merged_adj = {i: set(s) for i, s in enumerate(adj)}
+
+    while True:
+        active = [r for r in sizes if sizes[r] < min_size and merged_adj[r]]
+        if not active:
+            break
+        victim = min(active, key=lambda r: (sizes[r], r))
+        target = max(merged_adj[victim], key=lambda r: (sizes[r], -r))
+        parent[victim] = target
+        sizes[target] += sizes.pop(victim)
+        firsts[target] = min(firsts[target], firsts.pop(victim))
+        neighbours = merged_adj.pop(victim)
+        neighbours.discard(target)
+        merged_adj[target].discard(victim)
+        merged_adj[target].update(neighbours)
+        for nb in neighbours:
+            merged_adj[nb].discard(victim)
+            merged_adj[nb].add(target)
+
+    roots = sorted(sizes, key=lambda r: firsts[r])
+    rank = {r: i for i, r in enumerate(roots)}
+    root_of = np.array([rank[find(i)] for i in range(n)], dtype=np.int64)
+    return root_of[comp]
+
+
+def _uncovered(h, w, positions, s_grid):
+    """Pixels outside every center's search window, from the window geometry."""
+    covered = np.zeros((h, w), dtype=bool)
+    reach = 2.0 * s_grid
+    for cy, cx in positions:
+        y0, y1 = max(0, int(cy - reach)), min(h, int(cy + reach) + 1)
+        x0, x1 = max(0, int(cx - reach)), min(w, int(cx + reach) + 1)
+        if y0 < y1 and x0 < x1:
+            covered[y0:y1, x0:x1] = True
+    return ~covered
+
+
+def _synth_tiles(seeds, size=128, tile=64):
+    """z-scored 64x64x6 feature tiles cut from synthetic scenes, as dcn predict sees them."""
+    bands = ("RED", "GREEN", "BLUE", "NIR", "NDVI", "DSM")
+    tiles = []
+    for seed in seeds:
+        spec = dcn.SyntheticSceneSpec(height=size, width=size, seed=seed)
+        scene = dcn.normalize(dcn.compute_ndvi(dcn.synth_scene(spec)))[0]
+        full = np.stack([scene.band(b) for b in bands], -1)
+        for y in range(0, size, tile):
+            for x in range(0, size, tile):
+                tiles.append(zscore_features(full[y : y + tile, x : x + tile]))
+    return tiles
+
+
+def _spiral(n):
+    """n x n grid whose 1-labelled path winds inwards; the 0 gap winds alongside."""
+    grid = np.zeros((n, n), dtype=np.int64)
+    y = x = 0
+    dy, dx = 0, 1
+    grid[y, x] = 1
+    turns = 0
+    while turns < 2:
+        ny, nx = y + dy, x + dx
+        ay, ax = y + 2 * dy, x + 2 * dx
+        free = 0 <= ny < n and 0 <= nx < n and not grid[ny, nx]
+        clear = not (0 <= ay < n and 0 <= ax < n) or not grid[ay, ax]
+        if free and clear:
+            y, x = ny, nx
+            grid[y, x] = 1
+            turns = 0
+        else:
+            dy, dx = dx, -dy
+            turns += 1
+    return grid
+
+
+def _slic_add_at(feat, params):
+    """Oracle: the SLIC loop on the frozen loops with np.add.at center sums.
+
+    Returns labels, motion and converged.
+    """
+    h, w, _ = feat.shape
+    positions, cfeats, s_grid = _seed_centers_loop(feat, params.k_desired)
     motion, converged = [], False
     for _ in range(params.max_iters):
-        labels = assign_pixels(feat, positions, cfeats, s_grid, params.m)
+        labels = _assign_pixels_loop(feat, positions, cfeats, s_grid, params.m)
         flat = labels.ravel()
         counts = np.bincount(flat, minlength=len(positions))
         csum = np.zeros_like(cfeats)
@@ -130,7 +333,7 @@ def _slic_add_at(feat, params):
             converged = True
             break
     min_size = params.min_size_factor * (h * w / params.k_desired)
-    return _merge_fragments(labels, min_size), tuple(motion), converged
+    return _merge_fragments_bfs(labels, min_size), tuple(motion), converged
 
 
 class TestSlicParams:
@@ -256,6 +459,192 @@ class TestEnforceConnectivity:
         )
 
 
+class TestMergeFragmentsAgainstBfs:
+    """Run-based union-find labelling must reproduce the BFS oracle exactly."""
+
+    @staticmethod
+    def _check(labels, min_sizes):
+        labels = np.asarray(labels)
+        for min_size in min_sizes:
+            np.testing.assert_array_equal(
+                _merge_fragments(labels, min_size),
+                _merge_fragments_bfs(labels, min_size),
+                err_msg=f"shape {labels.shape} min_size {min_size}",
+            )
+
+    def test_spiral(self):
+        for n in (5, 16, 33):
+            grid = _spiral(n)
+            assert len(flood_components(grid)) == 2  # one winding path per label
+            self._check(grid, (0.5, 3, grid.sum(), n * n))
+
+    def test_one_row_strip(self):
+        rng = np.random.default_rng(340)
+        strip = rng.integers(0, 3, size=(1, 200))
+        self._check(strip, (0.5, 2, 4, 50))
+
+    def test_one_column_strip(self):
+        rng = np.random.default_rng(341)
+        strip = rng.integers(0, 3, size=(200, 1))
+        self._check(strip, (0.5, 2, 4, 50))
+
+    def test_all_distinct_labels(self):
+        self._check(np.arange(9 * 11).reshape(9, 11), (0.5, 2, 5, 99))
+
+    def test_checkerboard(self):
+        yy, xx = np.mgrid[0:12, 0:13]
+        self._check((yy + xx) % 2, (0.5, 2, 3, 156))
+
+    def test_seeded_corpus(self):
+        # blocky and noisy rasters, every merge threshold from none to all
+        rng = np.random.default_rng(342)
+        for case in range(300):
+            h, w = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            n = int(rng.integers(1, 8))
+            if case % 2:
+                f = int(rng.integers(2, 6))
+                cells = rng.integers(0, n, size=(h // f + 1, w // f + 1))
+                labels = np.repeat(np.repeat(cells, f, 0), f, 1)[:h, :w]
+            else:
+                labels = rng.integers(0, n, size=(h, w))
+            min_size = float(rng.choice([0.5, 2.0, 5.0, 20.0, h * w / 4]))
+            np.testing.assert_array_equal(
+                _merge_fragments(labels, min_size),
+                _merge_fragments_bfs(labels, min_size),
+                err_msg=f"case {case}",
+            )
+
+
+class TestSeedCenters:
+    def test_matches_frozen_loop(self):
+        # tiny images have an all-inf gradient; rounded and constant ones
+        # tie inside the 3x3 window, where the first minimum must win
+        rng = np.random.default_rng(343)
+        for case in range(120):
+            h, w = int(rng.integers(1, 71)), int(rng.integers(1, 71))
+            feat = rng.normal(size=(h, w, int(rng.integers(1, 8))))
+            if case % 3 == 1:
+                feat = np.round(feat, 1)
+            elif case % 3 == 2:
+                feat = np.zeros_like(feat)
+            k = int(rng.integers(1, h * w + 1))
+            got = seed_centers(feat, k)
+            want = _seed_centers_loop(feat, k)
+            np.testing.assert_array_equal(got[0], want[0], err_msg=f"case {case}")
+            np.testing.assert_array_equal(got[1], want[1], err_msg=f"case {case}")
+            assert got[2] == want[2]
+
+    def test_nan_gradient_wins_like_argmin(self):
+        feat = np.zeros((9, 9, 2))
+        feat[5, 5, 0] = np.nan  # NaN gradients at (4, 5) and (5, 4): not first in the window
+        got = seed_centers(feat, 1)
+        want = _seed_centers_loop(feat, 1)
+        np.testing.assert_array_equal(got[0], want[0])
+
+
+class TestAssignPixels:
+    def test_matches_frozen_loop_with_jittered_centers(self):
+        # centers off the grid, some off the image, so the global fallback
+        # runs; half the cases rounded to one decimal to force exact ties
+        rng = np.random.default_rng(344)
+        fallbacks = 0
+        for case in range(200):
+            h, w = int(rng.integers(6, 71)), int(rng.integers(6, 71))
+            feat = rng.normal(size=(h, w, int(rng.integers(1, 8))))
+            if case % 2:
+                feat = np.round(feat, 1)
+            k = int(rng.integers(1, h * w // 8 + 2))
+            positions, cfeats, s_grid = seed_centers(feat, k)
+            positions = positions + rng.normal(scale=rng.choice([0.5, s_grid]), size=positions.shape)
+            if case % 3 == 0:
+                shift = rng.choice([-1.0, 1.0], size=2) * rng.uniform(s_grid, 4 * s_grid)
+                positions[: max(1, len(positions) // 3)] += shift
+            if not case % 2:
+                cfeats = cfeats + rng.normal(scale=0.1, size=cfeats.shape)
+            m = float(rng.choice([0.5, 2.0, 10.0]))
+            fallbacks += bool(_uncovered(h, w, positions, s_grid).any())
+            np.testing.assert_array_equal(
+                assign_pixels(feat, positions, cfeats, s_grid, m),
+                _assign_pixels_loop(feat, positions, cfeats, s_grid, m),
+                err_msg=f"case {case}",
+            )
+        assert fallbacks >= 10, fallbacks
+
+    def test_blocks_of_centers_match_one_block(self, monkeypatch):
+        # a block smaller than one window scores each center on its own,
+        # as the frozen loop does; 300 cells split the centers unevenly;
+        # 2**30 cells hold every center in one block
+        rng = np.random.default_rng(349)
+        for case in range(40):
+            h, w = int(rng.integers(6, 41)), int(rng.integers(6, 41))
+            feat = np.round(rng.normal(size=(h, w, int(rng.integers(1, 8)))), 1)
+            positions, cfeats, s_grid = seed_centers(feat, int(rng.integers(1, h * w // 8 + 2)))
+            positions = positions + rng.normal(scale=s_grid, size=positions.shape)
+            want = _assign_pixels_loop(feat, positions, cfeats, s_grid, 2.0)
+            for cells in (1, 300, 1 << 30):
+                monkeypatch.setattr(superpixel, "SWEEP_BLOCK_CELLS", cells)
+                got = assign_pixels(feat, positions, cfeats, s_grid, 2.0)
+                np.testing.assert_array_equal(got, want, err_msg=f"case {case} cells {cells}")
+
+    def test_every_center_off_the_image(self):
+        rng = np.random.default_rng(345)
+        feat = rng.normal(size=(12, 10, 3))
+        positions = np.array([[-30.0, 4.0], [5.0, 40.0], [-12.5, -9.0]])
+        cfeats = rng.normal(size=(3, 3))
+        assert _uncovered(12, 10, positions, 2.0).all()
+        np.testing.assert_array_equal(
+            assign_pixels(feat, positions, cfeats, 2.0, 1.0),
+            _assign_pixels_loop(feat, positions, cfeats, 2.0, 1.0),
+        )
+
+    def test_nan_distance_never_wins(self):
+        rng = np.random.default_rng(348)
+        feat = np.round(rng.normal(size=(20, 20, 3)), 1)
+        feat[3, 4, 1] = np.nan  # every distance of this pixel is NaN
+        positions, cfeats, s_grid = seed_centers(np.nan_to_num(feat), 16)
+        cfeats[5, 0] = np.nan  # so is every distance to this center
+        np.testing.assert_array_equal(
+            assign_pixels(feat, positions, cfeats, s_grid, 2.0),
+            _assign_pixels_loop(feat, positions, cfeats, s_grid, 2.0),
+        )
+
+    def test_sums_channels_in_order_from_eight_channels_on(self):
+        # past 7 channels numpy's last-axis sum pairs terms up; the sweep
+        # keeps adding one channel at a time
+        rng = np.random.default_rng(346)
+        for c in (8, 9, 10):
+            for trial in range(8):
+                h, w = int(rng.integers(6, 41)), int(rng.integers(6, 41))
+                feat = rng.normal(scale=3.0, size=(h, w, c))
+                positions, cfeats, s_grid = seed_centers(feat, int(rng.integers(1, h * w // 8 + 2)))
+                positions = positions + rng.normal(scale=1.0, size=positions.shape)
+                cfeats = cfeats + rng.normal(scale=0.3, size=cfeats.shape)
+                want = _assign_pixels_loop(
+                    feat, positions, cfeats, s_grid, 2.0, window_sum=_sequential_channel_sum
+                )
+                got = assign_pixels(feat, positions, cfeats, s_grid, 2.0)
+                np.testing.assert_array_equal(got, want, err_msg=f"c {c} trial {trial}")
+
+    def test_channel_order_decides_an_exact_tie(self):
+        # center 0 differs from center 1 only by four 2**-26 channels: added
+        # one at a time each squared term rounds away against 1.5**2 and
+        # the centers tie (lower index wins); summed pairwise they add up
+        # to 2**-50 and center 1 would win
+        for c in (8, 9, 10):
+            feat = np.zeros((3, 3, c))
+            cfeats = np.zeros((2, c))
+            cfeats[:, 0] = 1.5
+            cfeats[0, 4:8] = 2.0 ** -26
+            positions = np.array([[1.0, 1.0], [1.0, 1.0]])
+            got = assign_pixels(feat, positions, cfeats, 1.0, 1.0)
+            want = _assign_pixels_loop(
+                feat, positions, cfeats, 1.0, 1.0, window_sum=_sequential_channel_sum
+            )
+            np.testing.assert_array_equal(got, want)
+            assert (got == 0).all()
+            assert (_assign_pixels_loop(feat, positions, cfeats, 1.0, 1.0) == 1).any()
+
+
 class TestSlicSegment:
     def test_constant_image_four_grid_quadrants(self):
         sp = slic_segment(np.zeros((32, 32, 1)), SlicParams(k_desired=4, m=10.0))
@@ -285,6 +674,33 @@ class TestSlicSegment:
                 feat = np.round(feat, 1)
             params = SlicParams(
                 k_desired=int(rng.integers(1, h * w // 8 + 2)),
+                m=float(rng.choice([0.5, 2.0, 10.0])),
+                max_iters=int(rng.integers(1, 11)),
+            )
+            labels, motion, converged = _slic_add_at(feat.copy(), params)
+            sp = slic_segment(feat, params)
+            np.testing.assert_array_equal(sp.labels, labels, err_msg=f"case {case}")
+            assert sp.center_motion == motion, f"case {case}"
+            assert sp.converged == converged, f"case {case}"
+
+    def test_bit_identical_to_frozen_loops_on_synth_tiles(self):
+        params = SlicParams(k_desired=64, m=2.0)
+        for i, feat in enumerate(_synth_tiles(seeds=(0, 1))):
+            labels, motion, converged = _slic_add_at(feat, params)
+            sp = slic_segment(feat, params)
+            np.testing.assert_array_equal(sp.labels, labels, err_msg=f"tile {i}")
+            assert sp.center_motion == motion, f"tile {i}"
+            assert sp.converged == converged, f"tile {i}"
+
+    def test_bit_identical_to_frozen_loops_on_random_sizes(self):
+        rng = np.random.default_rng(347)
+        for case in range(30):
+            h, w = int(rng.integers(6, 71)), int(rng.integers(6, 71))
+            feat = rng.normal(size=(h, w, int(rng.integers(1, 8))))
+            if case % 2:
+                feat = np.round(feat, 1)
+            params = SlicParams(
+                k_desired=int(rng.integers(1, h * w // 16 + 2)),
                 m=float(rng.choice([0.5, 2.0, 10.0])),
                 max_iters=int(rng.integers(1, 11)),
             )
