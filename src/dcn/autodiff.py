@@ -219,11 +219,14 @@ class GradTape:
 
 
 def backward(tape: GradTape, loss: Tensor) -> dict[int, Tensor]:
-    """Replay the tape in reverse, returning node id -> gradient.
+    """Replay the tape in reverse, returning watched-leaf gradients.
 
-    The loss must be a scalar produced on the tape. Every watched leaf
-    with ``requires_grad`` receives a gradient of its own shape (zeros
-    when the loss does not depend on it); the loss's own gradient is 1.
+    The loss must be a scalar produced on the tape. The map holds one
+    gradient of its own shape for every watched leaf with
+    ``requires_grad`` (zeros when the loss does not depend on it) and
+    nothing else: the gradient of a node an op produced is freed once
+    that op's backward rule has consumed it, and gradients flowing into
+    tensors without ``requires_grad`` (data, dropout masks) are dropped.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -233,12 +236,12 @@ def backward(tape: GradTape, loss: Tensor) -> dict[int, Tensor]:
 
     grads: dict[int, np.ndarray] = {loss_id: np.ones_like(loss.data)}
     for entry in reversed(tape._entries):
-        g_out = grads.get(entry.output_id)
+        g_out = grads.pop(entry.output_id, None)
         if g_out is None:
             continue
         in_grads = entry.backward(g_out)
         for nid, g_in in zip(entry.input_ids, in_grads):
-            if g_in is None:
+            if g_in is None or not tape._tensors[nid].requires_grad:
                 continue
             if np.isnan(g_in).any():
                 raise NumericError(f"NaN gradient emitted by backward rule of '{entry.op}'")

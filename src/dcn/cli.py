@@ -112,6 +112,25 @@ def _trainable(stack, bands):
     return True
 
 
+def _scene_tiles(path, flag, bands, window, stride, need_mask=False):
+    """Read the scene at ``path``, prepare ``bands`` and cut it into tiles.
+
+    Returns None, untiled, when ``need_mask`` and the scene lacks MASK
+    or a band ``bands`` needs. Errors from preparing or tiling name
+    ``flag`` and the file. Tiles copy their windows, so the full-size
+    raw and prepared scenes are freed before the caller's tile loop.
+    """
+    from .data import read_bmsr, tile
+
+    scene = read_bmsr(path)
+    if need_mask and not _trainable(scene, bands):
+        return None
+    try:
+        return tile(_prepare_scene(scene, bands), window=window, stride=stride)
+    except DataError as err:
+        raise DataError(f"{flag} {path}: {err}") from err
+
+
 def _mask_band(path, flag):
     import numpy as np
 
@@ -202,7 +221,6 @@ def _parse_channels(text):
 def cmd_train(args):
     from dataclasses import replace
 
-    from .data import read_bmsr, tile
     from .model import DcnConfig, build, save_checkpoint
     from .train import TrainConfig, report_json, train
 
@@ -234,15 +252,16 @@ def cmd_train(args):
     for name in sorted(os.listdir(args.data)):
         if not name.endswith(".bmsr"):
             continue
-        path = os.path.join(args.data, name)
-        stack = read_bmsr(path)
-        if not _trainable(stack, config.input_bands):
+        tiled = _scene_tiles(
+            os.path.join(args.data, name),
+            "--data",
+            config.input_bands,
+            args.window,
+            args.stride,
+            need_mask=True,
+        )
+        if tiled is None:
             continue
-        try:
-            scene = _prepare_scene(stack, config.input_bands)
-            tiled = tile(scene, window=args.window, stride=args.stride)
-        except DataError as err:
-            raise DataError(f"--data {path}: {err}") from err
         for record in tiled.tiles:
             spmap = _segment(
                 record.stack.select(config.input_bands), slic_k, args.slic_m
@@ -278,7 +297,7 @@ def cmd_predict(args):
     import numpy as np
 
     from .autodiff import Tensor
-    from .data import Band, RasterStack, read_bmsr, stitch, tile, write_bmsr
+    from .data import Band, RasterStack, stitch, write_bmsr
     from .model import forward, load_checkpoint
     from .train import confusion, error_map, iou, overall_accuracy, write_ppm
 
@@ -292,13 +311,7 @@ def cmd_predict(args):
     if args.slic_m <= 0:
         raise UsageError(f"--slic-m must be positive, got {args.slic_m}")
 
-    scene = read_bmsr(args.input)
-    try:
-        prepared = _prepare_scene(scene, model.config.input_bands)
-        tiled = tile(prepared, window=window, stride=window)
-    except DataError as err:
-        raise DataError(f"--input {args.input}: {err}") from err
-
+    tiled = _scene_tiles(args.input, "--input", model.config.input_bands, window, window)
     out_tiles = []
     for record in tiled.tiles:
         data = record.stack.select(model.config.input_bands)
@@ -307,7 +320,7 @@ def cmd_predict(args):
         mask_stack = RasterStack(
             width=window,
             height=window,
-            gsd=prepared.gsd,
+            gsd=record.stack.gsd,
             bands=(Band("MASK", raster.astype(np.float32)),),
         )
         out_tiles.append(replace(record, stack=mask_stack, spmap=None))

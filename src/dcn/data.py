@@ -283,7 +283,10 @@ def read_bmsr(path: str) -> RasterStack:
             raise DataError(f"unknown role tag {role!r} in {path}")
         payload, pos = take(pos, 4 * width * height)
         data = np.frombuffer(payload, dtype="<f4").reshape(height, width)
-        bands.append(Band(role, data))
+        try:
+            bands.append(Band(role, data))
+        except ValueError as err:
+            raise DataError(f"invalid raster in {path}: {err}") from err
     if pos != len(blob):
         raise DataError(f"{len(blob) - pos} trailing bytes after last band in {path}")
     try:

@@ -134,8 +134,13 @@ class DropoutLayer:
         self.rng = np.random.default_rng(self.seed)
 
 
-def _correlate(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 cross-correlation on [n, h, w, cin]."""
+def _correlate(xd: np.ndarray, kd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded stride-1 cross-correlation on [n, h, w, cin].
+
+    The im2col columns ``[n*h*w, kh*kw*cin]`` go through one 2-D GEMM
+    with the kernel viewed as ``[kh*kw*cin, cout]``. Returns the output
+    reshaped to [n, h, w, cout] and the columns.
+    """
     n, h, w, cin = xd.shape
     kh, kw, _, cout = kd.shape
     ph, pw = kh // 2, kw // 2
@@ -144,14 +149,18 @@ def _correlate(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
     # column axis matches the kernel's (kh, kw, cin) layout
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        n, h, w, kh * kw * cin
+        n * h * w, kh * kw * cin
     )
-    out = cols @ kd.reshape(kh * kw * cin, cout)
+    out = (cols @ kd.reshape(kh * kw * cin, cout)).reshape(n, h, w, cout)
     return out, cols
 
 
 def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
-    """2-d convolution: [h, w, cin] or [n, h, w, cin], channels last."""
+    """2-d convolution: [h, w, cin] or [n, h, w, cin], channels last.
+
+    The backward rule skips the input gradient (returns ``None``) when
+    ``x`` does not require grad, as for the data batch.
+    """
     if x.data.ndim not in (3, 4):
         raise ValueError(f"conv2d input must be [h, w, c] or [n, h, w, c], got {x.shape}")
     kernel, bias = layer.kernel, layer.bias
@@ -168,19 +177,23 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     kd = kernel.data
     out, cols = _correlate(xd, kd)
     out = out + bias.data
-    n, h, w, _ = xd.shape
     if single:
         out = out[0]
+    needs_gx = x.requires_grad
 
     def bwd(g):
         gb4 = g[None] if single else g
-        gk = cols.reshape(n * h * w, -1).T @ gb4.reshape(n * h * w, cout)
+        gk = cols.T @ gb4.reshape(cols.shape[0], cout)
         gb = gb4.sum(axis=(0, 1, 2))
-        # adjoint of same-padded correlation: correlate the output
-        # gradient with the spatially flipped kernel, roles swapped
-        k_adj = np.ascontiguousarray(kd[::-1, ::-1].transpose(0, 1, 3, 2))
-        gx, _ = _correlate(gb4, k_adj)
-        return gx[0] if single else gx, gk.reshape(kh, kw, cin, cout), gb
+        gx = None
+        if needs_gx:
+            # adjoint of same-padded correlation: correlate the output
+            # gradient with the spatially flipped kernel, roles swapped
+            k_adj = np.ascontiguousarray(kd[::-1, ::-1].transpose(0, 1, 3, 2))
+            gx, _ = _correlate(gb4, k_adj)
+            if single:
+                gx = gx[0]
+        return gx, gk.reshape(kh, kw, cin, cout), gb
 
     return _apply("conv2d", (x, kernel, bias), out, bwd)
 

@@ -11,6 +11,7 @@ loss on segments backpropagates to every member pixel.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,16 +369,20 @@ def _merge_fragments(labels: np.ndarray, min_size: float) -> np.ndarray:
         merged_adj[lo].add(hi)
         merged_adj[hi].add(lo)
 
-    # union-find over components; small ones dissolve into neighbours
+    # union-find over components; small ones dissolve into neighbours.
+    # The heap holds a (size, id) entry for every undersized component;
+    # an entry whose component has since merged away or grown is stale
+    # and skipped. A component without neighbours never gains any.
     parent = list(range(n))
     sizes = dict(enumerate(comp_sizes.tolist()))
     firsts = dict(enumerate(first_pixel.tolist()))
+    heap = [(s, r) for r, s in sizes.items() if s < min_size]
+    heapq.heapify(heap)
 
-    while True:
-        active = [r for r in sizes if sizes[r] < min_size and merged_adj[r]]
-        if not active:
-            break
-        victim = min(active, key=lambda r: (sizes[r], r))
+    while heap:
+        size, victim = heapq.heappop(heap)
+        if sizes.get(victim) != size or not merged_adj[victim]:
+            continue
         target = max(merged_adj[victim], key=lambda r: (sizes[r], -r))
         parent[victim] = target
         sizes[target] += sizes.pop(victim)
@@ -389,6 +394,8 @@ def _merge_fragments(labels: np.ndarray, min_size: float) -> np.ndarray:
         for nb in neighbours:
             merged_adj[nb].discard(victim)
             merged_adj[nb].add(target)
+        if sizes[target] < min_size:
+            heapq.heappush(heap, (sizes[target], target))
 
     roots = sorted(sizes, key=lambda r: firsts[r])
     rank = {r: i for i, r in enumerate(roots)}

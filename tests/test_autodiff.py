@@ -399,3 +399,23 @@ class TestBackwardExamplesAndProperties:
         report = grad_check(lambda t: tsum(bad_square(t)), [x], 1e-4)
         assert not report.passed
         assert report.max_rel_error > report.tolerance
+
+
+class TestBackwardReleasesGradients:
+    def test_map_holds_watched_leaves_and_no_produced_node(self):
+        rng = np.random.default_rng(160)
+        x = Tensor(rng.normal(size=(4, 3)), dtype=np.float64, requires_grad=True)
+        w = Tensor(rng.normal(size=3), dtype=np.float64, requires_grad=True)
+        const = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
+        unused = Tensor(rng.normal(size=2), dtype=np.float64, requires_grad=True)
+        with GradTape() as tape:
+            tape.watch(unused)
+            h = mul(add(mul(x, w), const), x)
+            y = tsum(square(h))
+        grads = backward(tape, y)
+        assert set(grads) == {tape.node_id(t) for t in (x, w, unused)}
+        assert not {entry.output_id for entry in tape.entries} & set(grads)
+        assert tape.gradient(grads, const) is None
+        np.testing.assert_array_equal(tape.gradient(grads, unused).data, [0.0, 0.0])
+        assert tape.gradient(grads, h) is None
+        assert tape.gradient(grads, y) is None

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -49,6 +50,21 @@ def _scene(workspace, index):
 
 def _mask(workspace, index):
     return os.path.join(workspace["data"], f"mask_{index:03d}.bmsr")
+
+
+def _patched_copy(src, dst, value):
+    """Copy a raster with its first payload value replaced by ``value``."""
+    blob = bytearray(open(src, "rb").read())
+    first = 4 + struct.calcsize("<IIIIBf") + 16  # magic, header, role tag
+    blob[first : first + 4] = struct.pack("<f", value)
+    open(dst, "wb").write(bytes(blob))
+    return dst
+
+
+def _assert_data_error_names(capsys, code, path, what):
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and path in err and what in err
 
 
 class TestSynth:
@@ -124,6 +140,14 @@ class TestSlic:
         code = cli.run(["slic", "--input", _scene(workspace, 0), "--k", "4097", "--out", out])
         assert code == 1
         assert "--k 4097 exceeds" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+    def test_non_finite_input_is_a_data_error(self, workspace, tmp_path, capsys):
+        bad = _patched_copy(_scene(workspace, 0), str(tmp_path / "nan.bmsr"), float("nan"))
+        out = str(tmp_path / "labels.bmsr")
+        code = cli.run(["slic", "--input", bad, "--k", "16", "--out", out])
+        _assert_data_error_names(capsys, code, bad, "non-finite")
         assert not os.path.exists(out)
 
 
@@ -262,6 +286,13 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "divide" in err and "scene_000.bmsr" in err
 
+    def test_non_finite_input_is_a_data_error(self, workspace, tmp_path, capsys):
+        bad = _patched_copy(_scene(workspace, 0), str(tmp_path / "nan.bmsr"), float("nan"))
+        out = str(tmp_path / "p.bmsr")
+        code = cli.run(["predict", "--model", workspace["model"], "--input", bad, "--out", out])
+        _assert_data_error_names(capsys, code, bad, "non-finite")
+        assert not os.path.exists(out)
+
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         code = cli.run(
             ["predict", "--model", str(tmp_path / "nope.dcnw"),
@@ -317,6 +348,14 @@ class TestEval:
         )
         assert code == 2
         assert "gone.bmsr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,what", [(float("nan"), "non-finite"), (0.5, "MASK")])
+    def test_malformed_pred_is_a_data_error(self, workspace, tmp_path, capsys, value, what):
+        bad = _patched_copy(_mask(workspace, 0), str(tmp_path / "bad.bmsr"), value)
+        out = str(tmp_path / "m.json")
+        code = cli.run(["eval", "--pred", bad, "--truth", _mask(workspace, 0), "--json", out])
+        _assert_data_error_names(capsys, code, bad, what)
+        assert not os.path.exists(out)
 
     def test_no_mask_band_names_flag(self, workspace, tmp_path, capsys):
         labels = str(tmp_path / "labels.bmsr")

@@ -201,6 +201,27 @@ class TestBmsr:
         with pytest.raises(DataError, match="overflow"):
             read_bmsr(path)
 
+    def test_non_finite_band_is_a_data_error_naming_the_file(self, tmp_path):
+        path = str(tmp_path / "nan.bmsr")
+        write_bmsr(random_stack(np.random.default_rng(0), 3, 3), path)
+        blob = bytearray(open(path, "rb").read())
+        first = HEADER_BYTES + ROLE_BYTES
+        blob[first : first + 4] = struct.pack("<f", float("nan"))
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(DataError, match="nan.bmsr.*non-finite"):
+            read_bmsr(path)
+
+    def test_non_binary_mask_is_a_data_error_naming_the_file(self, tmp_path):
+        path = str(tmp_path / "mask.bmsr")
+        mask = RasterStack(3, 3, 0.5, (Band("MASK", np.zeros((3, 3))),))
+        write_bmsr(mask, path)
+        blob = bytearray(open(path, "rb").read())
+        first = HEADER_BYTES + ROLE_BYTES
+        blob[first : first + 4] = struct.pack("<f", 0.5)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(DataError, match="mask.bmsr.*MASK"):
+            read_bmsr(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="read"):
             read_bmsr(str(tmp_path / "absent.bmsr"))

@@ -661,3 +661,92 @@ class TestBatchedSpatialOps:
             maxpool2(Tensor(np.ones((1, 1, 2, 2, 1), np.float32)))
         with pytest.raises(ValueError):
             upsample_nearest2(Tensor(np.ones((1, 1, 2, 2, 1), np.float32)))
+
+
+def _model_convs(channels, tile=64):
+    """Every conv of a built model with the side of the tile it sees."""
+    from dcn.model import DcnConfig, build
+
+    model = build(DcnConfig(block_channels=channels, tile_size=tile))
+    convs = []
+    for i, blk in enumerate(model.encoder):
+        convs += [(f"enc{i}.conv1", blk.conv1, tile >> i), (f"enc{i}.conv2", blk.conv2, tile >> i)]
+    for i, blk in enumerate(model.decoder):
+        convs.append((f"dec{i}.conv", blk.conv, tile >> (4 - i)))
+    convs.append(("head", model.head, tile))
+    return convs
+
+
+def _conv_pass(x, layer, probe):
+    """Output and input, kernel and bias gradients of one conv under a probe readout."""
+    with GradTape() as tape:
+        out = conv2d(x, layer)
+        grads = backward(tape, tsum(mul(out, probe)))
+    gk = tape.gradient(grads, layer.kernel).data
+    gb = tape.gradient(grads, layer.bias).data
+    return out.data, tape.gradient(grads, x), gk, gb
+
+
+class TestConvFlatGemm:
+    """Each conv pass is one 2-D GEMM; batching and skipped grads change no bits."""
+
+    @pytest.mark.parametrize("channels", [(8, 16, 32, 64, 128), (32, 64, 128, 256, 512)])
+    def test_batch_of_eight_matches_stacked_singles(self, channels):
+        rng = np.random.default_rng(70)
+        for name, layer, side in _model_convs(channels):
+            cin, cout = layer.kernel.shape[2:]
+            xd = rng.standard_normal((8, side, side, cin)).astype(np.float32)
+            pd = rng.standard_normal((8, side, side, cout)).astype(np.float32)
+            out, gx, _, _ = _conv_pass(Tensor(xd, requires_grad=True), layer, Tensor(pd))
+            for i in range(8):
+                one, gone, _, _ = _conv_pass(
+                    Tensor(xd[i], requires_grad=True), layer, Tensor(pd[i])
+                )
+                np.testing.assert_array_equal(out[i], one, err_msg=f"{name} tile {i}")
+                np.testing.assert_array_equal(gx.data[i], gone.data, err_msg=f"{name} tile {i}")
+
+    def test_input_without_grad_leaves_kernel_and_bias_gradients(self):
+        rng = np.random.default_rng(71)
+        for dtype in (np.float32, np.float64):
+            layer = Conv2dLayer(
+                Tensor(rng.standard_normal((3, 3, 6, 5)), dtype=dtype, requires_grad=True),
+                Tensor(rng.standard_normal(5), dtype=dtype, requires_grad=True),
+            )
+            xd = rng.standard_normal((3, 8, 8, 6)).astype(dtype)
+            probe = Tensor(rng.standard_normal((3, 8, 8, 5)).astype(dtype))
+            for single in (False, True):
+                data = xd[0] if single else xd
+                p = Tensor(probe.data[0]) if single else probe
+                out_a, gx, gk_a, gb_a = _conv_pass(Tensor(data), layer, p)
+                out_b, _, gk_b, gb_b = _conv_pass(Tensor(data, requires_grad=True), layer, p)
+                assert gx is None  # no input gradient kept
+                np.testing.assert_array_equal(out_a, out_b)
+                np.testing.assert_array_equal(gk_a, gk_b)
+                np.testing.assert_array_equal(gb_a, gb_b)
+
+    def test_backward_rule_skips_the_input_gradient(self):
+        layer = Conv2dLayer(
+            Tensor(np.ones((3, 3, 2, 2)), requires_grad=True),
+            Tensor(np.zeros(2), requires_grad=True),
+        )
+        for requires_grad in (False, True):
+            x = Tensor(np.ones((1, 4, 4, 2)), requires_grad=requires_grad)
+            with GradTape() as tape:
+                out = conv2d(x, layer)
+            (entry,) = tape.entries
+            gx, gk, gb = entry.backward(np.ones_like(out.data))
+            assert (gx is None) == (not requires_grad)
+            assert gk.shape == (3, 3, 2, 2) and gb.shape == (2,)
+
+    def test_data_batch_gets_no_gradient_in_a_training_step(self):
+        from dcn.model import DcnConfig, build, embed_batch
+
+        model = build(DcnConfig(block_channels=(2, 2, 2, 2, 2), embedding_dim=2, tile_size=32))
+        rng = np.random.default_rng(72)
+        batch = Tensor(rng.standard_normal((2, 32, 32, 6)).astype(np.float32))
+        with GradTape() as tape:
+            grads = backward(tape, tsum(embed_batch(model, batch, "train")))
+        assert tape.node_id(batch) not in grads
+        used = [p for p in model.parameters().values() if tape.on_tape(p)]
+        assert len(used) == 5 * 2 * 4 + 5 * 4 + 2  # every conv and norm layer, the head
+        assert {tape.node_id(p) for p in used} == set(grads)  # no dropout mask either

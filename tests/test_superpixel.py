@@ -515,6 +515,32 @@ class TestMergeFragmentsAgainstBfs:
             )
 
 
+class TestMergeFragmentsOnWhiteNoise:
+    """The heap-ordered merge must reproduce the frozen loop on >1,000 fragments."""
+
+    def test_first_sweep_labels_of_noise_tiles(self):
+        rng = np.random.default_rng(343)
+        params = SlicParams(k_desired=64, m=2.0)
+        min_size = params.min_size_factor * 64 * 64 / params.k_desired
+        for _ in range(3):
+            feat = rng.standard_normal((64, 64, 6))
+            positions, cfeats, s_grid = seed_centers(feat, params.k_desired)
+            labels = assign_pixels(feat, positions, cfeats, s_grid, params.m)
+            assert len(flood_components(labels)) > 1000
+            np.testing.assert_array_equal(
+                _merge_fragments(labels, min_size), _merge_fragments_bfs(labels, min_size)
+            )
+
+    def test_random_label_rasters(self):
+        rng = np.random.default_rng(344)
+        for n_labels, min_size in ((3, 2.0), (8, 64.0)):
+            labels = rng.integers(0, n_labels, size=(64, 64))
+            assert len(flood_components(labels)) > 1000
+            np.testing.assert_array_equal(
+                _merge_fragments(labels, min_size), _merge_fragments_bfs(labels, min_size)
+            )
+
+
 class TestSeedCenters:
     def test_matches_frozen_loop(self):
         # tiny images have an all-inf gradient; rounded and constant ones
