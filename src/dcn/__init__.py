@@ -19,7 +19,6 @@ _SOURCES = {
     "autodiff": ("GradTape", "Tensor", "grad_check"),
     "competition": (
         "Codebook",
-        "CompetitionConfig",
         "class_distances",
         "competition_loss",
         "softmin_probs",

@@ -341,7 +341,11 @@ def mul(a, b) -> Tensor:
     out = ad * bd
 
     def bwd(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        # an operand without requires_grad (a dropout mask) gets None,
+        # not a full-size product that backward would discard
+        ga = _unbroadcast(g * bd, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * ad, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _apply("mul", (a, b), out, bwd)
 

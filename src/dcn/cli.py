@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from .errors import DataError, DcnError, NumericError
 
@@ -49,19 +48,6 @@ def _apply_thread_cap():
         raise UsageError(f"DCN_THREADS must be a positive integer, got {raw!r}")
     for var in _THREAD_VARS:
         os.environ[var] = str(cap)
-
-
-def _write_text_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _scene_spec(size, seed):
@@ -160,10 +146,21 @@ def _positive(value, flag):
     return value
 
 
+def _positive_real(value, flag):
+    if not value > 0:  # also rejects nan
+        raise UsageError(f"{flag} must be positive, got {value}")
+
+
+def _non_negative(value, flag):
+    if value < 0:
+        raise UsageError(f"{flag} must be >= 0, got {value}")
+
+
 def cmd_synth(args):
     from .data import Band, RasterStack, synth_scene, write_bmsr
 
     _positive(args.count, "--count")
+    _non_negative(args.seed, "--seed")
     if args.size < 32:
         raise UsageError(f"--size must be >= 32 to fit the object palette, got {args.size}")
     os.makedirs(args.out, exist_ok=True)
@@ -187,8 +184,7 @@ def cmd_slic(args):
     from .data import Band, RasterStack, compute_ndvi, read_bmsr, write_bmsr
 
     _positive(args.k, "--k")
-    if args.compactness <= 0:
-        raise UsageError(f"--compactness must be positive, got {args.compactness}")
+    _positive_real(args.compactness, "--compactness")
     stack = read_bmsr(args.input)
     _at_most_pixels(args.k, "--k", stack.width * stack.height)
     if stack.has("NIR") and stack.has("RED") and not stack.has("NDVI"):
@@ -221,6 +217,7 @@ def _parse_channels(text):
 def cmd_train(args):
     from dataclasses import replace
 
+    from .data import write_atomic
     from .model import DcnConfig, build, save_checkpoint
     from .train import TrainConfig, report_json, train
 
@@ -231,13 +228,13 @@ def cmd_train(args):
     _positive(args.epochs, "--epochs")
     _positive(args.batch, "--batch")
     _positive(args.dim, "--dim")
+    _non_negative(args.seed, "--seed")
     if not 0.0 <= args.dropout < 1.0:
         raise UsageError(f"--dropout must lie in [0, 1), got {args.dropout}")
     slic_k = args.slic_k if args.slic_k is not None else (args.window * args.window) // 64
     _positive(slic_k, "--slic-k")
     _at_most_pixels(slic_k, "--slic-k", args.window * args.window)
-    if args.slic_m <= 0:
-        raise UsageError(f"--slic-m must be positive, got {args.slic_m}")
+    _positive_real(args.slic_m, "--slic-m")
 
     config = DcnConfig(
         block_channels=channels,
@@ -282,7 +279,7 @@ def cmd_train(args):
     )
     save_checkpoint(model, args.out)
     if args.history:
-        _write_text_atomic(args.history, report_json(history) + "\n")
+        write_atomic(args.history, (report_json(history) + "\n").encode("utf-8"))
     print(f"trained {len(records)} tiles for {report.ne} epochs -> {args.out}")
     print(
         f"final_loss={history.loss[-1]:.6f} ne={report.ne} "
@@ -308,8 +305,7 @@ def cmd_predict(args):
     slic_k = args.slic_k if args.slic_k is not None else (window * window) // 64
     _positive(slic_k, "--slic-k")
     _at_most_pixels(slic_k, "--slic-k", window * window)
-    if args.slic_m <= 0:
-        raise UsageError(f"--slic-m must be positive, got {args.slic_m}")
+    _positive_real(args.slic_m, "--slic-m")
 
     tiled = _scene_tiles(args.input, "--input", model.config.input_bands, window, window)
     out_tiles = []
@@ -345,6 +341,7 @@ def cmd_predict(args):
 
 
 def cmd_eval(args):
+    from .data import write_atomic
     from .train import confusion, iou, overall_accuracy
 
     pred = _mask_band(args.pred, "--pred")
@@ -363,7 +360,7 @@ def cmd_eval(args):
         "fn": counts.fn,
         "tn": counts.tn,
     }
-    _write_text_atomic(args.json, json.dumps(doc, indent=2) + "\n")
+    write_atomic(args.json, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
     print(f"oa={doc['oa']:.6f} iou={doc['iou']:.6f}")
     return EXIT_OK
 
@@ -427,9 +424,6 @@ def run(argv):
         args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as err:

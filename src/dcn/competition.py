@@ -6,11 +6,9 @@ feed a numerically stable softmin whose argmax provably coincides with
 the argmin distance, giving a differentiable training surrogate whose
 cross-entropy pulls prototypes toward the embeddings of their class.
 
-Two distance readings are supported: ``activated_difference`` squashes
-the embedding through a sigmoid and measures squared distance to the
-prototype, so a perfect match scores zero; ``difference_activated``
-squashes the raw difference instead, which keeps a positive floor of
-D/8 even at coincidence and is retained only as a selectable variant.
+The distance squashes the embedding through the logistic sigmoid and
+measures half the squared distance to each prototype, so a perfect match
+scores zero.
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ import numpy as np
 
 from .autodiff import Tensor, _apply
 from .errors import NumericError
-from .layers import MODES, _stable_logistic
-
-FORMS = ("activated_difference", "difference_activated")
 
 PROB_FLOOR = 1e-12
 
@@ -55,30 +50,17 @@ class Codebook:
         return cls(Tensor(rows, requires_grad=True))
 
 
-@dataclass(frozen=True)
-class CompetitionConfig:
-    """Distance reading plus the sigmoid form it applies."""
-
-    form: str = "activated_difference"
-    sigmoid_form: str = "standard"
-
-    def __post_init__(self) -> None:
-        if self.form not in FORMS:
-            raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
-        if self.sigmoid_form not in MODES:
-            raise ValueError(
-                f"sigmoid_form must be one of {MODES}, got {self.sigmoid_form!r}"
-            )
+def _stable_logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) without overflow at large |z|."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
-def _logistic_pair(z: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
-    """Activation and its derivative for either sigmoid form."""
-    sign = 1.0 if form == "standard" else -1.0
-    a = _stable_logistic(sign * z)
-    return a, sign * a * (1.0 - a)
-
-
-def class_distances(feature: Tensor, codebook: Codebook, config: CompetitionConfig) -> Tensor:
+def class_distances(feature: Tensor, codebook: Codebook) -> Tensor:
     """Per-class squared-distance scores: [D] -> [2] or [S, D] -> [S, 2]."""
     w = codebook.prototypes
     single = feature.data.ndim == 1
@@ -93,28 +75,17 @@ def class_distances(feature: Tensor, codebook: Codebook, config: CompetitionConf
     xd = feature.data[None, :] if single else feature.data
     wd = w.data
 
-    if config.form == "activated_difference":
-        act, dact = _logistic_pair(xd, config.sigmoid_form)
-        diff = act[:, None, :] - wd[None, :, :]  # [S, 2, D]
-        out = 0.5 * (diff ** 2).sum(axis=2)
+    act = _stable_logistic(xd)
+    dact = act * (1.0 - act)
+    diff = act[:, None, :] - wd[None, :, :]  # [S, 2, D]
+    out = 0.5 * (diff ** 2).sum(axis=2)
 
-        def bwd(g):
-            gm = g[None, :] if single else g  # [S, 2]
-            ga = (gm[:, :, None] * diff).sum(axis=1)  # [S, D]
-            gx = ga * dact
-            gw = -(gm[:, :, None] * diff).sum(axis=0)
-            return (gx[0] if single else gx), gw
-    else:
-        z = xd[:, None, :] - wd[None, :, :]  # [S, 2, D]
-        s, ds = _logistic_pair(z, config.sigmoid_form)
-        out = 0.5 * (s ** 2).sum(axis=2)
-
-        def bwd(g):
-            gm = g[None, :] if single else g
-            inner = gm[:, :, None] * s * ds  # [S, 2, D]
-            gx = inner.sum(axis=1)
-            gw = -inner.sum(axis=0)
-            return (gx[0] if single else gx), gw
+    def bwd(g):
+        gm = g[None, :] if single else g  # [S, 2]
+        ga = (gm[:, :, None] * diff).sum(axis=1)  # [S, D]
+        gx = ga * dact
+        gw = -(gm[:, :, None] * diff).sum(axis=0)
+        return (gx[0] if single else gx), gw
 
     if single:
         out = out[0]

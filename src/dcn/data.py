@@ -212,6 +212,25 @@ class SyntheticSceneSpec:
             raise ValueError("noise_std must be non-negative")
 
 
+def write_atomic(path: str, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; on failure the temporary file is removed, so no
+    partial file is left behind.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_bmsr(stack: RasterStack, path: str) -> None:
     """Serialize a stack to ``path`` atomically in the BMSR layout."""
     if max(stack.width, stack.height, len(stack.bands)) > 0xFFFFFFFF:
@@ -232,18 +251,7 @@ def write_bmsr(stack: RasterStack, path: str) -> None:
         tag = band.role.encode("ascii")
         chunks.append(tag.ljust(_ROLE_FIELD, b"\x00"))
         chunks.append(np.ascontiguousarray(band.data, dtype="<f4").tobytes())
-    blob = b"".join(chunks)
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, b"".join(chunks))
 
 
 def read_bmsr(path: str) -> RasterStack:

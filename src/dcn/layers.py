@@ -1,11 +1,11 @@
-"""Neural network building blocks on height-width-channel tensors.
+"""Neural network building blocks on batch-height-width-channel tensors.
 
 Functional tape ops (``conv2d``, ``maxpool2``, ``upsample_nearest2``,
-``relu``, ``sigmoid``, ``batch_norm``, ``dropout``) over value-semantic
-tensors, with the parameters of the stateful ops carried in small layer
-records (``Conv2dLayer``, ``BatchNormLayer``, ``DropoutLayer``). Spatial
-ops take a single tile laid out ``[h, w, c]`` in row-major order; batch
-normalization takes ``[n, h, w, c]``.
+``relu``, ``batch_norm``, ``dropout``) over value-semantic tensors, with
+the parameters of the stateful ops carried in small layer records
+(``Conv2dLayer``, ``BatchNormLayer``, ``DropoutLayer``). Spatial ops and
+batch normalization take batches laid out ``[n, h, w, c]`` in row-major
+order; a single tile is a batch of one.
 
 Convolution is cross-correlation with zero same-padding and stride 1,
 restricted to odd kernel sizes so the padding is symmetric.
@@ -23,7 +23,6 @@ from .autodiff import Tensor, _apply, mul
 # so they stay importable from it
 from .autodiff import add, div, sqrt, square, sub, tmean  # noqa: F401
 
-MODES = ("standard", "literal")
 PHASES = ("train", "infer")
 
 
@@ -43,8 +42,6 @@ class Conv2dLayer:
 
     kernel: Tensor
     bias: Tensor
-    padding: str = "same"
-    stride: int = 1
 
     def __post_init__(self) -> None:
         if self.kernel.data.ndim != 4:
@@ -58,19 +55,16 @@ class Conv2dLayer:
             raise ValueError(f"bias must be [{cout}], got {self.bias.shape}")
         if self.kernel.data.dtype != self.bias.data.dtype:
             raise ValueError("kernel and bias must share one dtype")
-        if self.padding != "same" or self.stride != 1:
-            raise ValueError("only same padding with stride 1 is supported")
 
 
 @dataclass
 class BatchNormLayer:
     """Per-channel normalization state.
 
-    ``standard`` mode divides the centred input by sqrt(var + epsilon)
-    and applies the learned gamma/beta; ``literal`` mode divides by
-    (var + epsilon) directly and ignores gamma and beta. Running
-    buffers fold in batch statistics with the given momentum during
-    training and drive normalization at inference.
+    The centred input is divided by sqrt(var + epsilon) and scaled and
+    shifted by the learned gamma/beta. Running buffers fold in batch
+    statistics with the given momentum during training and drive
+    normalization at inference.
     """
 
     gamma: Tensor
@@ -79,11 +73,8 @@ class BatchNormLayer:
     running_var: Tensor
     epsilon: float = 1e-5
     momentum: float = 0.9
-    mode: str = "standard"
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epsilon < 0.0:
@@ -98,7 +89,6 @@ class BatchNormLayer:
     def create(
         cls,
         channels: int,
-        mode: str = "standard",
         epsilon: float = 1e-5,
         momentum: float = 0.9,
         dtype=np.float32,
@@ -112,7 +102,6 @@ class BatchNormLayer:
             running_var=Tensor(np.ones(channels, dtype=dtype)),
             epsilon=epsilon,
             momentum=momentum,
-            mode=mode,
         )
 
 
@@ -155,14 +144,18 @@ def _correlate(xd: np.ndarray, kd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, cols
 
 
+def _check_batch(op: str, x: Tensor) -> None:
+    if x.data.ndim != 4:
+        raise ValueError(f"{op} input must be [n, h, w, c], got {x.shape}")
+
+
 def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
-    """2-d convolution: [h, w, cin] or [n, h, w, cin], channels last.
+    """2-d convolution of an [n, h, w, cin] batch, channels last.
 
     The backward rule skips the input gradient (returns ``None``) when
     ``x`` does not require grad, as for the data batch.
     """
-    if x.data.ndim not in (3, 4):
-        raise ValueError(f"conv2d input must be [h, w, c] or [n, h, w, c], got {x.shape}")
+    _check_batch("conv2d", x)
     kernel, bias = layer.kernel, layer.bias
     kh, kw, cin, cout = kernel.shape
     if x.shape[-1] != cin:
@@ -172,81 +165,58 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     if not (x.data.dtype == kernel.data.dtype == bias.data.dtype):
         raise ValueError("conv2d operands must share one dtype")
 
-    single = x.data.ndim == 3
-    xd = x.data[None] if single else x.data
     kd = kernel.data
-    out, cols = _correlate(xd, kd)
+    out, cols = _correlate(x.data, kd)
     out = out + bias.data
-    if single:
-        out = out[0]
     needs_gx = x.requires_grad
 
     def bwd(g):
-        gb4 = g[None] if single else g
-        gk = cols.T @ gb4.reshape(cols.shape[0], cout)
-        gb = gb4.sum(axis=(0, 1, 2))
+        gk = cols.T @ g.reshape(cols.shape[0], cout)
+        gb = g.sum(axis=(0, 1, 2))
         gx = None
         if needs_gx:
             # adjoint of same-padded correlation: correlate the output
             # gradient with the spatially flipped kernel, roles swapped
             k_adj = np.ascontiguousarray(kd[::-1, ::-1].transpose(0, 1, 3, 2))
-            gx, _ = _correlate(gb4, k_adj)
-            if single:
-                gx = gx[0]
+            gx, _ = _correlate(g, k_adj)
         return gx, gk.reshape(kh, kw, cin, cout), gb
 
     return _apply("conv2d", (x, kernel, bias), out, bwd)
 
 
-def maxpool2(x: Tensor) -> tuple[Tensor, np.ndarray]:
-    """2x2 non-overlapping max pool; also returns the winner index map.
+def maxpool2(x: Tensor) -> Tensor:
+    """2x2 non-overlapping max pool of an [n, h, w, c] batch.
 
-    Accepts [h, w, c] or [n, h, w, c]. The map holds the flat within-
-    sample position ``y * w + x`` of each selected maximum; ties go to
-    the lowest flat position in the window.
+    The gradient of each output goes to the position of its window's
+    maximum; ties go to the lowest flat position ``y * w + x``.
     """
-    if x.data.ndim not in (3, 4):
-        raise ValueError(f"maxpool2 input must be [h, w, c] or [n, h, w, c], got {x.shape}")
-    single = x.data.ndim == 3
-    xd = x.data[None] if single else x.data
-    n, h, w, c = xd.shape
+    _check_batch("maxpool2", x)
+    n, h, w, c = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 needs even extents, got {h}x{w}")
     h2, w2 = h // 2, w // 2
 
-    win = xd.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
-    k = win.argmax(axis=3)
-    out = np.take_along_axis(win, k[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    ys = 2 * np.arange(h2, dtype=np.int64)[None, :, None, None] + k // 2
-    xs = 2 * np.arange(w2, dtype=np.int64)[None, None, :, None] + k % 2
-    idx = ys * w + xs
-    if single:
-        out, idx = out[0], idx[0]
+    # each window's four values in flat order on axis 3: [n, h2, w2, 4, c]
+    win = x.data.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
+    k = win.argmax(axis=3)[:, :, :, None, :]
+    out = np.take_along_axis(win, k, axis=3)[:, :, :, 0, :]
 
     def bwd(g):
-        g4 = g[None] if single else g
-        flat = idx.reshape(n, h2 * w2, c) if not single else idx[None].reshape(n, h2 * w2, c)
-        # pool windows are disjoint, so plain assignment scatters correctly
-        gx = np.zeros((n, h * w, c), dtype=g4.dtype)
-        gx[np.arange(n)[:, None, None], flat, np.arange(c)] = g4.reshape(n, h2 * w2, c)
-        gx = gx.reshape(n, h, w, c)
-        return (gx[0] if single else gx,)
+        gwin = np.zeros((n, h2, w2, 4, c), dtype=g.dtype)
+        np.put_along_axis(gwin, k, g[:, :, :, None, :], axis=3)
+        return (gwin.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c),)
 
-    return _apply("maxpool2", (x,), out, bwd), idx
+    return _apply("maxpool2", (x,), out, bwd)
 
 
 def upsample_nearest2(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsample of the two spatial axes."""
-    if x.data.ndim not in (3, 4):
-        raise ValueError(
-            f"upsample_nearest2 input must be [h, w, c] or [n, h, w, c], got {x.shape}"
-        )
-    lead = x.shape[:-3]
-    h, w, c = x.shape[-3:]
-    out = x.data.repeat(2, axis=-3).repeat(2, axis=-2)
+    """Nearest-neighbour 2x upsample of the spatial axes of an [n, h, w, c] batch."""
+    _check_batch("upsample_nearest2", x)
+    n, h, w, c = x.shape
+    out = x.data.repeat(2, axis=1).repeat(2, axis=2)
 
     def bwd(g):
-        return (g.reshape(*lead, h, 2, w, 2, c).sum(axis=(-4, -2)),)
+        return (g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4)),)
 
     return _apply("upsample_nearest2", (x,), out, bwd)
 
@@ -261,33 +231,6 @@ def relu(x: Tensor) -> Tensor:
     return _apply("relu", (x,), out, bwd)
 
 
-def _stable_logistic(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) without overflow at large |z|."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def sigmoid(x: Tensor, form: str = "standard") -> Tensor:
-    """Logistic squashing to (0, 1).
-
-    ``standard`` is the increasing form 1/(1+exp(-x)); ``literal`` is the
-    decreasing mirror 1/(1+exp(x)).
-    """
-    if form not in MODES:
-        raise ValueError(f"sigmoid form must be one of {MODES}, got {form!r}")
-    sign = 1.0 if form == "standard" else -1.0
-    out = _stable_logistic(sign * x.data)
-
-    def bwd(g):
-        return (sign * g * out * (1.0 - out),)
-
-    return _apply("sigmoid", (x,), out, bwd)
-
-
 def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
     """Per-channel batch normalization over [n, h, w, c] activations.
 
@@ -295,7 +238,7 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
     folds them into the running buffers; inference normalizes by the
     buffers and leaves them untouched. The whole layer is one tape op
     whose backward is the closed form of Ioffe & Szegedy (2015): with
-    ``xc = x - mean`` and ``inv`` the reciprocal of the divisor, the
+    ``xc = x - mean`` and ``inv = 1 / sqrt(var + epsilon)``, the
     centred gradient is ``gy * inv + xc * 2 * gvar / N`` and the input
     gradient is that minus its per-channel mean (training only, since
     inference statistics are constants).
@@ -326,34 +269,29 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
     else:
         var = layer.running_var.data.astype(dtype)
         xc = x - layer.running_mean.data.astype(dtype)
-    literal = layer.mode == "literal"
     shifted = var + np.asarray(layer.epsilon, dtype=dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # literal mode divides by the variance itself, standard by its root
-        divisor = shifted if literal else np.sqrt(shifted)
+        divisor = np.sqrt(shifted)
         out = xc / divisor
         inv = 1.0 / divisor
     gamma = layer.gamma.data
-    if not literal:
-        out *= gamma
-        out += layer.beta.data
+    out *= gamma
+    out += layer.beta.data
     count = x.size // channels
 
-    # the gradient reaching the normalized values is gy * gamma (standard)
-    # or gy (literal); ``scale`` folds that factor into ``inv``
-    scale = inv if literal else gamma * inv
+    # the gradient reaching the normalized values is gy * gamma; ``scale``
+    # folds that factor into ``inv``
+    scale = gamma * inv
 
     def bwd(g):
         gy_xc = (g * xc).sum(axis=axes, dtype=dtype)
         gx = g * scale
         if training:
-            # d inv / d var: -inv^2 for 1/(var+eps), -inv^3/2 for its root
-            dinv = -inv * inv if literal else -0.5 * inv * inv * inv
-            gvar = (gy_xc if literal else gy_xc * gamma) * dinv
+            # d inv / d var for inv = (var + eps)^(-1/2)
+            dinv = -0.5 * inv * inv * inv
+            gvar = gy_xc * gamma * dinv
             gx += xc * (2.0 * gvar / count)
             gx -= gx.mean(axis=axes, dtype=dtype)
-        if literal:
-            return gx, None, None
         return gx, gy_xc * inv, g.sum(axis=axes, dtype=dtype)
 
     return _apply("batch_norm", (batch, layer.gamma, layer.beta), out, bwd)

@@ -13,18 +13,16 @@ along with the named parameter payload, so loading needs no side input.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor, reshape
-from .competition import Codebook, CompetitionConfig, class_distances, winner
+from .competition import Codebook, class_distances, winner
+from .data import write_atomic
 from .errors import DataError
 from .layers import (
-    MODES,
     BatchNormLayer,
     Conv2dLayer,
     DropoutLayer,
@@ -42,6 +40,16 @@ CHECKPOINT_VERSION = 1
 
 DEFAULT_BANDS = ("RED", "GREEN", "BLUE", "NIR", "NDVI", "DSM")
 
+# The one reading of the network this package implements: standard batch
+# norm, the increasing logistic sigmoid, and the distance taken after the
+# activation. Every DCNW config block names it, and loading refuses a file
+# that names another.
+READING = (
+    ("sigmoid_form", "standard"),
+    ("batchnorm_mode", "standard"),
+    ("competition_form", "activated_difference"),
+)
+
 
 @dataclass(frozen=True)
 class DcnConfig:
@@ -58,9 +66,6 @@ class DcnConfig:
     embedding_dim: int = 16
     dropout_rate: float = 0.5
     dropout_blocks: tuple[int, ...] = (3, 4)
-    sigmoid_form: str = "standard"
-    batchnorm_mode: str = "standard"
-    competition_form: str = "activated_difference"
     tile_size: int = 128
     seed: int = 0
 
@@ -84,15 +89,10 @@ class DcnConfig:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if any(not 0 <= b < 5 for b in self.dropout_blocks):
             raise ValueError("dropout_blocks must index encoder blocks 0..4")
-        if self.sigmoid_form not in MODES:
-            raise ValueError(f"sigmoid_form must be one of {MODES}")
-        if self.batchnorm_mode not in MODES:
-            raise ValueError(f"batchnorm_mode must be one of {MODES}")
         if self.tile_size < 32 or self.tile_size % 32 != 0:
             raise ValueError(
                 f"tile_size must be a positive multiple of 32, got {self.tile_size}"
             )
-        CompetitionConfig(self.competition_form, self.sigmoid_form)  # validates form
 
     @property
     def input_channels(self) -> int:
@@ -184,7 +184,6 @@ def build(config: DcnConfig, dtype=np.float32) -> DcnModel:
     """Deterministically initialize a model from the config seed."""
     rng = np.random.default_rng(config.seed)
     bc = config.block_channels
-    bn_mode = config.batchnorm_mode
 
     encoder = []
     cin = config.input_channels
@@ -192,9 +191,9 @@ def build(config: DcnConfig, dtype=np.float32) -> DcnModel:
         encoder.append(
             EncoderBlock(
                 conv1=_conv_layer(rng, 3, 3, cin, c, dtype),
-                bn1=BatchNormLayer.create(c, mode=bn_mode, dtype=dtype),
+                bn1=BatchNormLayer.create(c, dtype=dtype),
                 conv2=_conv_layer(rng, 3, 3, c, c, dtype),
-                bn2=BatchNormLayer.create(c, mode=bn_mode, dtype=dtype),
+                bn2=BatchNormLayer.create(c, dtype=dtype),
             )
         )
         cin = c
@@ -206,7 +205,7 @@ def build(config: DcnConfig, dtype=np.float32) -> DcnModel:
         decoder.append(
             DecoderBlock(
                 conv=_conv_layer(rng, 3, 3, cin, c, dtype),
-                bn=BatchNormLayer.create(c, mode=bn_mode, dtype=dtype),
+                bn=BatchNormLayer.create(c, dtype=dtype),
             )
         )
         cin = c
@@ -248,7 +247,7 @@ def embed_batch(model: DcnModel, batch: Tensor, phase: str) -> Tensor:
     for i, blk in enumerate(model.encoder):
         x = relu(batch_norm(conv2d(x, blk.conv1), blk.bn1, phase))
         x = relu(batch_norm(conv2d(x, blk.conv2), blk.bn2, phase))
-        x, _ = maxpool2(x)
+        x = maxpool2(x)
         if i in model.dropouts:
             x = dropout(x, model.dropouts[i], phase)
     for blk in model.decoder:
@@ -284,8 +283,7 @@ def forward(
         )
     emb = embed(model, tile, phase)
     pooled = superpixel_mean(spmap, emb)
-    comp = CompetitionConfig(model.config.competition_form, model.config.sigmoid_form)
-    distances = class_distances(pooled, model.codebook, comp)
+    distances = class_distances(pooled, model.codebook)
     labels = winner(distances)
     raster = broadcast_labels(spmap, labels)
     return distances, raster
@@ -298,16 +296,14 @@ def _config_to_text(config: DcnConfig) -> str:
         ("embedding_dim", str(config.embedding_dim)),
         ("dropout_rate", repr(config.dropout_rate)),
         ("dropout_blocks", ",".join(str(b) for b in config.dropout_blocks)),
-        ("sigmoid_form", config.sigmoid_form),
-        ("batchnorm_mode", config.batchnorm_mode),
-        ("competition_form", config.competition_form),
+        *READING,
         ("tile_size", str(config.tile_size)),
         ("seed", str(config.seed)),
     ]
     return "\n".join(f"{k}={v}" for k, v in pairs)
 
 
-def _config_from_text(text: str) -> DcnConfig:
+def _config_from_text(text: str, path: str) -> DcnConfig:
     fields = {}
     for line in text.splitlines():
         if not line.strip():
@@ -316,6 +312,12 @@ def _config_from_text(text: str) -> DcnConfig:
             raise DataError(f"malformed config line in checkpoint: {line!r}")
         key, value = line.split("=", 1)
         fields[key] = value
+    for key, supported in READING:
+        value = fields.get(key)
+        if value != supported:
+            raise DataError(
+                f"checkpoint {path}: unsupported {key} {value!r} (expected {supported!r})"
+            )
     try:
         return DcnConfig(
             input_bands=tuple(fields["input_bands"].split(",")),
@@ -325,9 +327,6 @@ def _config_from_text(text: str) -> DcnConfig:
             dropout_blocks=tuple(
                 int(b) for b in fields["dropout_blocks"].split(",") if b
             ),
-            sigmoid_form=fields["sigmoid_form"],
-            batchnorm_mode=fields["batchnorm_mode"],
-            competition_form=fields["competition_form"],
             tile_size=int(fields["tile_size"]),
             seed=int(fields["seed"]),
         )
@@ -353,18 +352,7 @@ def save_checkpoint(model: DcnModel, path: str, step: int | None = None) -> None
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
         chunks.append(data.tobytes())
-    blob = b"".join(chunks)
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, b"".join(chunks))
 
 
 class _Reader:
@@ -404,7 +392,7 @@ def load_checkpoint(path: str) -> DcnModel:
             f"(expected {CHECKPOINT_VERSION})"
         )
     cfg_text = r.take(r.u32()).decode("utf-8")
-    config = _config_from_text(cfg_text)
+    config = _config_from_text(cfg_text, path)
     step = r.u64()
 
     tensors: dict[str, np.ndarray] = {}

@@ -14,16 +14,14 @@ false positives red, false negatives blue, true negatives black.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import GradTape, Tensor, backward, reshape
-from .competition import CompetitionConfig, class_distances, competition_loss, softmin_probs
-from .data import TileRecord
+from .competition import class_distances, competition_loss, softmin_probs
+from .data import TileRecord, write_atomic
 from .errors import DataError, NumericError
 from .model import DcnModel, embed_batch, forward, save_checkpoint
 from .superpixel import SuperpixelMap, segment_means, superpixel_mean
@@ -232,17 +230,7 @@ def write_ppm(image: np.ndarray, path: str) -> None:
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ValueError(f"expected a uint8 [h, w, 3] image, got {img.dtype} {img.shape}")
     h, w = img.shape[:2]
-    blob = f"P6\n{w} {h}\n255\n".encode("ascii") + img.tobytes()
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
 
 
 def superpixel_truth(spmap, mask: np.ndarray) -> np.ndarray:
@@ -292,12 +280,11 @@ def _batch_gradients(model, prepared, indexes):
     weights_all = np.concatenate(weight_parts)
 
     params = model.parameters()
-    comp = CompetitionConfig(model.config.competition_form, model.config.sigmoid_form)
     with GradTape() as tape:
         emb = embed_batch(model, xb, "train")
         tall = reshape(emb, (n * t, t, model.config.embedding_dim))
         pooled = superpixel_mean(combined, tall)
-        distances = class_distances(pooled, model.codebook, comp)
+        distances = class_distances(pooled, model.codebook)
         loss = competition_loss(softmin_probs(distances), truth_all, weights_all)
         grads = backward(tape, loss)
     per_param = {}

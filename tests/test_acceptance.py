@@ -13,7 +13,7 @@ import numpy as np
 from dcn.autodiff import Tensor, grad_check, mul, square, tsum
 from dcn.competition import (
     Codebook,
-    CompetitionConfig,
+    _stable_logistic,
     class_distances,
     competition_loss,
     softmin_probs,
@@ -41,7 +41,6 @@ from dcn.layers import (
     dropout,
     maxpool2,
     relu,
-    sigmoid,
     upsample_nearest2,
 )
 from dcn.model import DcnConfig, build, forward, load_checkpoint, save_checkpoint
@@ -231,31 +230,23 @@ def test_criterion_1_gradient_suite(capsys):
             return Tensor(rng.normal(size=shape) + 0.5, dtype=np.float64)
 
         def make_conv(rng):
-            x, k, b = t64(rng, (4, 4, 2)), t64(rng, (3, 3, 2, 2), 0.5), t64(rng, (2,))
+            x, k, b = t64(rng, (1, 4, 4, 2)), t64(rng, (3, 3, 2, 2), 0.5), t64(rng, (2,))
             return lambda x, k, b: tsum(square(conv2d(x, Conv2dLayer(k, b)))), [x, k, b]
 
         def make_pool(rng):
-            x = t64(rng, (4, 4, 2))
-            probe = probe_for(rng, (2, 2, 2))
-            return lambda x: tsum(mul(maxpool2(x)[0], probe)), [x]
+            x = t64(rng, (1, 4, 4, 2))
+            probe = probe_for(rng, (1, 2, 2, 2))
+            return lambda x: tsum(mul(maxpool2(x), probe)), [x]
 
         def make_upsample(rng):
-            x = t64(rng, (3, 3, 2))
-            probe = probe_for(rng, (6, 6, 2))
+            x = t64(rng, (1, 3, 3, 2))
+            probe = probe_for(rng, (1, 6, 6, 2))
             return lambda x: tsum(mul(upsample_nearest2(x), probe)), [x]
 
         def make_relu(rng):
             x = away_from_kink(rng, (4, 3))
             probe = probe_for(rng, (4, 3))
             return lambda x: tsum(mul(relu(x), probe)), [x]
-
-        def make_sigmoid(form):
-            def factory(rng):
-                x = t64(rng, (4, 3), 2.0)
-                probe = probe_for(rng, (4, 3))
-                return lambda x: tsum(mul(sigmoid(x, form), probe)), [x]
-
-            return factory
 
         def make_batch_norm(rng):
             x = t64(rng, (2, 3, 3, 2))
@@ -285,20 +276,16 @@ def test_criterion_1_gradient_suite(capsys):
 
             return f, [x]
 
-        def make_distances(form):
-            def factory(rng):
-                feat = t64(rng, (4, 3))
-                protos = Tensor(rng.uniform(0.05, 0.95, (2, 3)), dtype=np.float64)
-                probe = probe_for(rng, (4, 2))
-                cfg = CompetitionConfig(form=form)
+        def make_distances(rng):
+            feat = t64(rng, (4, 3))
+            protos = Tensor(rng.uniform(0.05, 0.95, (2, 3)), dtype=np.float64)
+            probe = probe_for(rng, (4, 2))
 
-                def f(feat, protos):
-                    d = class_distances(feat, Codebook(protos), cfg)
-                    return tsum(mul(d, probe))
+            def f(feat, protos):
+                d = class_distances(feat, Codebook(protos))
+                return tsum(mul(d, probe))
 
-                return f, [feat, protos]
-
-            return factory
+            return f, [feat, protos]
 
         def make_loss(rng):
             d = Tensor(rng.uniform(0.1, 3.0, (5, 2)), dtype=np.float64)
@@ -320,12 +307,9 @@ def test_criterion_1_gradient_suite(capsys):
         check("maxpool2", make_pool)
         check("upsample_nearest2", make_upsample)
         check("relu", make_relu)
-        check("sigmoid standard", make_sigmoid("standard"))
-        check("sigmoid literal", make_sigmoid("literal"))
         check("batch_norm", make_batch_norm)
         check("dropout", make_dropout)
-        check("distances activated_difference", make_distances("activated_difference"))
-        check("distances difference_activated", make_distances("difference_activated"))
+        check("distances activated_difference", make_distances)
         check("softmin competition_loss", make_loss)
         check("superpixel_mean", make_superpixel_mean)
 
@@ -345,7 +329,6 @@ def test_criterion_1_gradient_suite(capsys):
         quad[16:, :] += 2
         quad[:, 16:] += 1
         spmap = SuperpixelMap.from_labels(quad, quad[:, :, None].astype(float))
-        comp = CompetitionConfig()
 
         def randomize_parameters(rng):
             # zero-init biases park dead channels exactly on the relu kink,
@@ -375,9 +358,10 @@ def test_criterion_1_gradient_suite(capsys):
                     pre = batch_norm(conv2d(x, conv), bn, "train")
                     sigs.append(pre.data > 0.0)
                     x = relu(pre)
-                pooled, idx = maxpool2(x)
-                sigs.append(np.asarray(idx).copy())
-                x = pooled
+                n, h, w, c = x.shape
+                windows = x.data.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+                sigs.append(windows.reshape(n, h // 2, w // 2, 4, c).argmax(axis=3))
+                x = maxpool2(x)
             for blk in model.decoder:
                 pre = batch_norm(
                     conv2d(upsample_nearest2(x), blk.conv), blk.bn, "train"
@@ -469,20 +453,19 @@ def test_criterion_3_competition_equivalence(capsys):
         assert np.array_equal(np.argmax(probs, axis=1), np.argmin(ties, axis=1))
         assert np.array_equal(winner(ties), np.argmin(ties, axis=1))
 
-        cfg = CompetitionConfig(form="activated_difference")
         for trial in range(200):
             trial_rng = np.random.default_rng(6000 + trial)
             v = trial_rng.normal(size=4)
-            act = sigmoid(Tensor(v, dtype=np.float64)).data
+            act = _stable_logistic(v)
             other = np.clip(act + 0.25, 0.0, 1.0) % 1.0
             book = Codebook(Tensor(np.stack([act, other])))
-            d = class_distances(Tensor(v, dtype=np.float64), book, cfg).data
+            d = class_distances(Tensor(v, dtype=np.float64), book).data
             assert d[0] == 0.0
             assert d[1] > 0.0
             nudged = act.copy()
             nudged[0] += 1e-9
             book2 = Codebook(Tensor(np.stack([nudged, other])))
-            d2 = class_distances(Tensor(v, dtype=np.float64), book2, cfg).data
+            d2 = class_distances(Tensor(v, dtype=np.float64), book2).data
             assert d2[0] > 0.0
 
 

@@ -419,3 +419,15 @@ class TestBackwardReleasesGradients:
         np.testing.assert_array_equal(tape.gradient(grads, unused).data, [0.0, 0.0])
         assert tape.gradient(grads, h) is None
         assert tape.gradient(grads, y) is None
+
+    def test_mul_rule_skips_the_operand_without_grad(self):
+        from dcn.layers import DropoutLayer, dropout
+
+        x = Tensor(np.full((2, 4, 4, 3), 1.5, dtype=np.float32), requires_grad=True)
+        with GradTape() as tape:
+            out = dropout(x, DropoutLayer(0.5, seed=161), "train")
+        (entry,) = tape.entries
+        assert entry.op == "mul"
+        gx, gmask = entry.backward(np.ones_like(out.data))
+        assert gmask is None  # the dropout mask
+        np.testing.assert_array_equal(gx, out.data / 1.5)

@@ -391,6 +391,31 @@ class TestExitCodes:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        def blow_up(args):
+            raise ValueError("shape bug deep inside the library")
+
+        monkeypatch.setattr(cli, "cmd_eval", blow_up)
+        with pytest.raises(ValueError, match="shape bug"):
+            cli.run(["eval", "--pred", "a", "--truth", "b", "--json", "c"])
+        assert "usage error" not in capsys.readouterr().err
+
+    def test_negative_seed_and_nan_compactness_are_usage_errors(self, workspace, tmp_path, capsys):
+        out = str(tmp_path / "x")
+        runs = [
+            (["synth", "--seed", "-1", "--count", "1", "--size", "32", "--out", out], "--seed"),
+            (["train", "--data", workspace["data"], "--seed", "-1", "--out", out], "--seed"),
+            (["train", "--data", workspace["data"], "--slic-m", "nan", "--out", out], "--slic-m"),
+            (["slic", "--input", _scene(workspace, 0), "--k", "4", "--compactness", "nan",
+              "--out", out], "--compactness"),
+            (["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
+              "--slic-m", "nan", "--out", out], "--slic-m"),
+        ]
+        for argv, flag in runs:
+            assert cli.run(argv) == 1, argv
+            assert flag in capsys.readouterr().err
+            assert not os.path.exists(out)
+
 
 class TestThreadCap:
     def test_cap_exported_to_blas_pools(self, monkeypatch, tmp_path):
@@ -449,7 +474,7 @@ class TestLazyPackage:
             "import dcn.train\n"
             "print(dcn.train.__module__, len(dcn.__all__))\n"
         )
-        assert self._python(code) == "dcn.train 54"
+        assert self._python(code) == "dcn.train 53"
 
 
 class TestSubprocessEntryPoint:

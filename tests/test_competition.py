@@ -6,17 +6,12 @@ import pytest
 from dcn.autodiff import GradTape, Tensor, backward, grad_check, mul, square, tsum
 from dcn.competition import (
     Codebook,
-    CompetitionConfig,
     class_distances,
     competition_loss,
     softmin_probs,
     winner,
 )
 from dcn.errors import NumericError
-
-ACT = CompetitionConfig(form="activated_difference")
-LIT = CompetitionConfig(form="difference_activated")
-
 
 def book(rows, dtype=np.float64):
     return Codebook(Tensor(np.asarray(rows), dtype=dtype))
@@ -39,93 +34,75 @@ class TestCodebook:
             Codebook(Tensor(np.ones(4)))
 
 
-class TestCompetitionConfig:
-    def test_defaults(self):
-        cfg = CompetitionConfig()
-        assert cfg.form == "activated_difference"
-        assert cfg.sigmoid_form == "standard"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CompetitionConfig(form="nearest")
-        with pytest.raises(ValueError):
-            CompetitionConfig(sigmoid_form="fast")
-
-
 class TestClassDistances:
     def test_frozen_two_dimensional_example(self):
         # activation [0.9, 0.8] against corners [0,0] and [1,1]
         x = Tensor(np.log([9.0, 4.0]), dtype=np.float64)
-        d = class_distances(x, book([[0.0, 0.0], [1.0, 1.0]]), ACT)
+        d = class_distances(x, book([[0.0, 0.0], [1.0, 1.0]]))
         np.testing.assert_allclose(d.data, [0.725, 0.025], atol=1e-12)
 
     def test_activated_form_zero_iff_prototype_matches_activation(self):
         rng = np.random.default_rng(401)
         x = Tensor(rng.normal(size=5), dtype=np.float64)
         act = 1.0 / (1.0 + np.exp(-x.data))
-        d = class_distances(x, book(np.stack([act, act + 0.1])), ACT)
+        d = class_distances(x, book(np.stack([act, act + 0.1])))
         assert d.data[0] == 0.0
         assert d.data[1] > 0.0
 
     def test_distances_are_never_negative(self):
         rng = np.random.default_rng(402)
-        for cfg in (ACT, LIT):
-            for _ in range(50):
-                x = Tensor(rng.normal(size=4) * 3.0, dtype=np.float64)
-                cb = book(rng.normal(size=(2, 4)))
-                assert (class_distances(x, cb, cfg).data >= 0.0).all()
+        for _ in range(50):
+            x = Tensor(rng.normal(size=4) * 3.0, dtype=np.float64)
+            cb = book(rng.normal(size=(2, 4)))
+            assert (class_distances(x, cb).data >= 0.0).all()
 
-    def test_literal_form_floor_at_coincidence(self):
-        for dim in (1, 3, 8):
-            row = np.linspace(-1.0, 2.0, dim)
-            x = Tensor(row, dtype=np.float64)
-            d = class_distances(x, book(np.stack([row, row])), LIT)
-            np.testing.assert_allclose(d.data, [dim / 8.0, dim / 8.0], atol=1e-12)
+    def test_extreme_embeddings_saturate_without_overflow(self):
+        x = Tensor([-500.0, 500.0], dtype=np.float64)
+        with np.errstate(over="raise", invalid="raise"):
+            d = class_distances(x, book([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_array_equal(d.data, [0.0, 1.0])
 
     def test_matrix_input_matches_per_row_calls(self):
         rng = np.random.default_rng(403)
         X = rng.normal(size=(6, 3))
         cb = book(rng.normal(size=(2, 3)))
-        for cfg in (ACT, LIT):
-            d = class_distances(Tensor(X, dtype=np.float64), cb, cfg)
-            assert d.shape == (6, 2)
-            for s in range(6):
-                row = class_distances(Tensor(X[s], dtype=np.float64), cb, cfg)
-                np.testing.assert_allclose(d.data[s], row.data, atol=1e-12)
+        d = class_distances(Tensor(X, dtype=np.float64), cb)
+        assert d.shape == (6, 2)
+        for s in range(6):
+            row = class_distances(Tensor(X[s], dtype=np.float64), cb)
+            np.testing.assert_allclose(d.data[s], row.data, atol=1e-12)
 
     def test_validation(self):
         cb = book(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            class_distances(Tensor(np.ones(4), dtype=np.float64), cb, ACT)
+            class_distances(Tensor(np.ones(4), dtype=np.float64), cb)
         with pytest.raises(ValueError):
-            class_distances(Tensor(np.ones((2, 2, 3)), dtype=np.float64), cb, ACT)
+            class_distances(Tensor(np.ones((2, 2, 3)), dtype=np.float64), cb)
         with pytest.raises(ValueError):
-            class_distances(Tensor(np.ones(3, dtype=np.float32)), cb, ACT)
+            class_distances(Tensor(np.ones(3, dtype=np.float32)), cb)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(404)
-        for cfg in (ACT, LIT, CompetitionConfig(sigmoid_form="literal")):
-            for trial in range(20):
-                x = Tensor(rng.normal(size=4), dtype=np.float64)
-                proto = Tensor(rng.uniform(-0.5, 1.5, size=(2, 4)), dtype=np.float64)
-                report = grad_check(
-                    lambda x, p: tsum(square(class_distances(x, Codebook(p), cfg))),
-                    [x, proto],
-                    tolerance=1e-4,
-                )
-                assert report.passed, f"{cfg.form} trial {trial}: {report}"
+        for trial in range(20):
+            x = Tensor(rng.normal(size=4), dtype=np.float64)
+            proto = Tensor(rng.uniform(-0.5, 1.5, size=(2, 4)), dtype=np.float64)
+            report = grad_check(
+                lambda x, p: tsum(square(class_distances(x, Codebook(p)))),
+                [x, proto],
+                tolerance=1e-4,
+            )
+            assert report.passed, f"trial {trial}: {report}"
 
     def test_matrix_gradients_match_finite_differences(self):
         rng = np.random.default_rng(405)
-        for cfg in (ACT, LIT):
-            X = Tensor(rng.normal(size=(5, 3)), dtype=np.float64)
-            proto = Tensor(rng.uniform(0.1, 0.9, size=(2, 3)), dtype=np.float64)
-            report = grad_check(
-                lambda X, p: tsum(square(class_distances(X, Codebook(p), cfg))),
-                [X, proto],
-                tolerance=1e-4,
-            )
-            assert report.passed, f"{cfg.form}: {report}"
+        X = Tensor(rng.normal(size=(5, 3)), dtype=np.float64)
+        proto = Tensor(rng.uniform(0.1, 0.9, size=(2, 3)), dtype=np.float64)
+        report = grad_check(
+            lambda X, p: tsum(square(class_distances(X, Codebook(p)))),
+            [X, proto],
+            tolerance=1e-4,
+        )
+        assert report.passed, str(report)
 
 
 class TestWinner:
@@ -248,34 +225,32 @@ class TestCompetitionLoss:
         rng = np.random.default_rng(410)
         truth = np.array([1, 0, 1])
         weights = np.array([4.0, 2.0, 6.0])
-        for cfg in (ACT, LIT):
-            X = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
-            proto = Tensor(rng.uniform(0.1, 0.9, size=(2, 4)), dtype=np.float64)
+        X = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
+        proto = Tensor(rng.uniform(0.1, 0.9, size=(2, 4)), dtype=np.float64)
 
-            def f(X, p):
-                d = class_distances(X, Codebook(p), cfg)
-                return competition_loss(softmin_probs(d), truth, weights)
+        def f(X, p):
+            d = class_distances(X, Codebook(p))
+            return competition_loss(softmin_probs(d), truth, weights)
 
-            report = grad_check(f, [X, proto], tolerance=1e-4)
-            assert report.passed, f"{cfg.form}: {report}"
+        report = grad_check(f, [X, proto], tolerance=1e-4)
+        assert report.passed, str(report)
 
 
 class TestPrototypePull:
     def test_gradient_step_moves_true_prototype_closer(self):
         rng = np.random.default_rng(411)
         lr = 1e-3
-        for cfg in (ACT, LIT):
-            for trial in range(100):
-                xd = rng.normal(size=4)
-                wd = rng.uniform(0.1, 0.9, size=(2, 4))
-                t = int(rng.integers(0, 2))
-                proto = Tensor(wd, dtype=np.float64, requires_grad=True)
-                X = Tensor(xd[None, :], dtype=np.float64)
-                with GradTape() as tape:
-                    d = class_distances(X, Codebook(proto), cfg)
-                    loss = competition_loss(softmin_probs(d), np.array([t]))
-                g = tape.gradient(backward(tape, loss), proto).data
-                stepped = book(wd - lr * g)
-                before = class_distances(Tensor(xd, dtype=np.float64), book(wd), cfg)
-                after = class_distances(Tensor(xd, dtype=np.float64), stepped, cfg)
-                assert after.data[t] < before.data[t], f"{cfg.form} trial {trial}"
+        for trial in range(100):
+            xd = rng.normal(size=4)
+            wd = rng.uniform(0.1, 0.9, size=(2, 4))
+            t = int(rng.integers(0, 2))
+            proto = Tensor(wd, dtype=np.float64, requires_grad=True)
+            X = Tensor(xd[None, :], dtype=np.float64)
+            with GradTape() as tape:
+                d = class_distances(X, Codebook(proto))
+                loss = competition_loss(softmin_probs(d), np.array([t]))
+            g = tape.gradient(backward(tape, loss), proto).data
+            stepped = book(wd - lr * g)
+            before = class_distances(Tensor(xd, dtype=np.float64), book(wd))
+            after = class_distances(Tensor(xd, dtype=np.float64), stepped)
+            assert after.data[t] < before.data[t], f"trial {trial}"

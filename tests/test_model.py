@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dcn.competition import competition_loss, softmin_probs, winner
 from dcn.errors import DataError
 from dcn.model import (
     CHECKPOINT_MAGIC,
+    READING,
     DcnConfig,
     build,
     embed,
@@ -29,6 +31,16 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return DcnConfig(**base)
+
+
+def rewrite_config(path, old, new):
+    """Replace ``old`` by ``new`` in a checkpoint's config block, fixing its length."""
+    blob = open(path, "rb").read()
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    text = blob[12 : 12 + cfg_len]
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    open(path, "wb").write(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + cfg_len :])
 
 
 def quadrant_map(size):
@@ -94,14 +106,6 @@ class TestDcnConfig:
     def test_dropout_block_index_bounds(self):
         with pytest.raises(ValueError):
             DcnConfig(dropout_blocks=(5,))
-
-    def test_bad_forms_rejected(self):
-        with pytest.raises(ValueError):
-            DcnConfig(sigmoid_form="fast")
-        with pytest.raises(ValueError):
-            DcnConfig(batchnorm_mode="fast")
-        with pytest.raises(ValueError):
-            DcnConfig(competition_form="nearest")
 
     def test_duplicate_bands_rejected(self):
         with pytest.raises(ValueError):
@@ -280,6 +284,9 @@ class TestCheckpoint:
         (cfg_len,) = struct.unpack_from("<I", blob, 8)
         text = blob[12 : 12 + cfg_len].decode("utf-8")
         assert "tile_size=32" in text and "embedding_dim=2" in text
+        for line in ("sigmoid_form=standard", "batchnorm_mode=standard",
+                     "competition_form=activated_difference"):
+            assert line in text.splitlines()
         pos = 12 + cfg_len
         (step,) = struct.unpack_from("<Q", blob, pos)
         assert step == 5
@@ -350,6 +357,39 @@ class TestCheckpoint:
         assert blob.count(b"embedding_dim=2") == 1
         open(path, "wb").write(blob.replace(b"embedding_dim=2", b"embedding_dim=4"))
         with pytest.raises(DataError, match="shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("sigmoid_form", "literal"),
+            ("batchnorm_mode", "literal"),
+            ("competition_form", "difference_activated"),
+        ],
+    )
+    def test_other_reading_rejected(self, tmp_path, capsys, key, value):
+        from dcn import cli
+
+        path = str(tmp_path / "model.dcnw")
+        save_checkpoint(self.model, path)
+        supported = dict(READING)[key]
+        rewrite_config(path, f"{key}={supported}\n".encode(), f"{key}={value}\n".encode())
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        assert key in str(err.value) and value in str(err.value) and path in str(err.value)
+        # the checkpoint loads before the scene is read, so no scene is needed
+        out = str(tmp_path / "pred.bmsr")
+        code = cli.run(["predict", "--model", path, "--input", str(tmp_path / "scene.bmsr"),
+                        "--out", out])
+        stderr = capsys.readouterr().err
+        assert code == 2 and stderr.startswith("data error:") and key in stderr and path in stderr
+        assert not os.path.exists(out)
+
+    def test_missing_reading_key_rejected(self, tmp_path):
+        path = str(tmp_path / "model.dcnw")
+        save_checkpoint(self.model, path)
+        rewrite_config(path, b"batchnorm_mode=standard\n", b"")
+        with pytest.raises(DataError, match="batchnorm_mode"):
             load_checkpoint(path)
 
     def test_save_overwrites_atomically(self, tmp_path):
