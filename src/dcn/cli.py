@@ -134,6 +134,23 @@ def _segment(tile_data, k, m):
     return slic_segment(zscore_features(tile_data), SlicParams(k_desired=k, m=m))
 
 
+def _segmented(records, bands, params, chunk):
+    """Yield (tile records, their ``bands`` arrays, superpixel maps) per chunk.
+
+    The tiles of a chunk are z-scored one by one, then segmented by one
+    stacked SLIC; each map is the one the tile gets on its own.
+    """
+    import numpy as np
+
+    from .superpixel import slic_segment_batch, zscore_features
+
+    for lo in range(0, len(records), chunk):
+        part = records[lo : lo + chunk]
+        data = [record.stack.select(bands) for record in part]
+        features = np.stack([zscore_features(d) for d in data])
+        yield part, data, slic_segment_batch(features, params)
+
+
 def _at_most_pixels(k, flag, pixels):
     """A superpixel count must not exceed the pixels it segments."""
     if k > pixels:
@@ -218,7 +235,8 @@ def cmd_train(args):
     from dataclasses import replace
 
     from .data import write_atomic
-    from .model import DcnConfig, build, save_checkpoint
+    from .model import DcnConfig, build, infer_chunk, save_checkpoint
+    from .superpixel import SlicParams
     from .train import TrainConfig, report_json, train
 
     channels = _parse_channels(args.channels)
@@ -245,6 +263,8 @@ def cmd_train(args):
     )
     if not os.path.isdir(args.data):
         raise DataError(f"--data {args.data} is not a directory")
+    params = SlicParams(k_desired=slic_k, m=args.slic_m)
+    chunk = infer_chunk(config)
     records = []
     for name in sorted(os.listdir(args.data)):
         if not name.endswith(".bmsr"):
@@ -259,11 +279,8 @@ def cmd_train(args):
         )
         if tiled is None:
             continue
-        for record in tiled.tiles:
-            spmap = _segment(
-                record.stack.select(config.input_bands), slic_k, args.slic_m
-            )
-            records.append(replace(record, spmap=spmap))
+        for part, _, spmaps in _segmented(tiled.tiles, config.input_bands, params, chunk):
+            records.extend(replace(r, spmap=spmap) for r, spmap in zip(part, spmaps))
     if not records:
         raise DataError(
             f"--data {args.data} holds no scenes with the "
@@ -293,9 +310,9 @@ def cmd_predict(args):
 
     import numpy as np
 
-    from .autodiff import Tensor
     from .data import Band, RasterStack, stitch, write_bmsr
-    from .model import forward, load_checkpoint
+    from .model import infer_chunk, infer_rasters, load_checkpoint
+    from .superpixel import SlicParams
     from .train import confusion, error_map, iou, overall_accuracy, write_ppm
 
     if args.errmap and not args.truth:
@@ -307,19 +324,19 @@ def cmd_predict(args):
     _at_most_pixels(slic_k, "--slic-k", window * window)
     _positive_real(args.slic_m, "--slic-m")
 
-    tiled = _scene_tiles(args.input, "--input", model.config.input_bands, window, window)
+    bands = model.config.input_bands
+    tiled = _scene_tiles(args.input, "--input", bands, window, window)
+    params = SlicParams(k_desired=slic_k, m=args.slic_m)
     out_tiles = []
-    for record in tiled.tiles:
-        data = record.stack.select(model.config.input_bands)
-        spmap = _segment(data, slic_k, args.slic_m)
-        _, raster = forward(model, Tensor(data.astype(np.float32)), spmap, "infer")
-        mask_stack = RasterStack(
-            width=window,
-            height=window,
-            gsd=record.stack.gsd,
-            bands=(Band("MASK", raster.astype(np.float32)),),
-        )
-        out_tiles.append(replace(record, stack=mask_stack, spmap=None))
+    for records, data, spmaps in _segmented(tiled.tiles, bands, params, infer_chunk(model.config)):
+        for record, raster in zip(records, infer_rasters(model, data, spmaps)):
+            mask_stack = RasterStack(
+                width=window,
+                height=window,
+                gsd=record.stack.gsd,
+                bands=(Band("MASK", raster.astype(np.float32)),),
+            )
+            out_tiles.append(replace(record, stack=mask_stack, spmap=None))
     merged = stitch(replace(tiled, tiles=tuple(out_tiles)))
     write_bmsr(merged, args.out)
     print(f"prediction -> {args.out}")
@@ -432,6 +449,12 @@ def run(argv):
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as err:
+        print(
+            f"out of memory: {err}; lower --batch, --window, --channels or --dim",
+            file=sys.stderr,
+        )
+        return EXIT_DATA
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 

@@ -33,12 +33,16 @@ from .layers import (
     relu,
     upsample_nearest2,
 )
-from .superpixel import SuperpixelMap, broadcast_labels, superpixel_mean
+from .superpixel import SuperpixelMap, broadcast_labels, stack_maps, superpixel_mean
 
 CHECKPOINT_MAGIC = b"DCNW"
 CHECKPOINT_VERSION = 1
 
 DEFAULT_BANDS = ("RED", "GREEN", "BLUE", "NIR", "NDVI", "DSM")
+
+INFER_CHUNK_BYTES = 5 << 20
+"""Byte budget for the largest temporary of one inference chunk; see
+``infer_chunk``."""
 
 # The one reading of the network this package implements: standard batch
 # norm, the increasing logistic sigmoid, and the distance taken after the
@@ -275,18 +279,80 @@ def embed(model: DcnModel, tile: Tensor, phase: str) -> Tensor:
 def forward(
     model: DcnModel, tile: Tensor, spmap: SuperpixelMap, phase: str
 ) -> tuple[Tensor, np.ndarray]:
-    """Full pass: per-superpixel class distances and the label raster."""
-    if spmap.shape != (model.config.tile_size, model.config.tile_size):
+    """Full pass on one [t, t, c_in] tile: class distances and label raster.
+
+    The one-tile case of ``forward_batch``.
+    """
+    cfg = model.config
+    if tile.data.ndim != 3 or tile.shape[:2] != (cfg.tile_size, cfg.tile_size):
         raise ValueError(
-            f"superpixel map covers {spmap.shape}, tile is "
-            f"{(model.config.tile_size, model.config.tile_size)}"
+            f"tile must be [{cfg.tile_size}, {cfg.tile_size}, c], got {tile.shape}"
         )
-    emb = embed(model, tile, phase)
-    pooled = superpixel_mean(spmap, emb)
+    h, w, c = tile.shape
+    distances, rasters = forward_batch(model, reshape(tile, (1, h, w, c)), [spmap], phase)
+    return distances, rasters[0]
+
+
+def forward_batch(
+    model: DcnModel, batch: Tensor, spmaps: list[SuperpixelMap], phase: str
+) -> tuple[Tensor, np.ndarray]:
+    """Full pass on an [n, t, t, c_in] batch with one superpixel map per tile.
+
+    Returns the class distances of every superpixel, tile after tile in
+    map order, and the [n, t, t] label rasters. In the infer phase every
+    tile's outputs are those it gets in a batch of its own: the norms use
+    their running statistics, and pooling, distances and winners work
+    segment by segment.
+    """
+    ts = model.config.tile_size
+    if len(spmaps) != batch.shape[0]:
+        raise ValueError(f"{len(spmaps)} superpixel maps for {batch.shape[0]} tiles")
+    for spmap in spmaps:
+        if spmap.shape != (ts, ts):
+            raise ValueError(f"superpixel map covers {spmap.shape}, tile is {(ts, ts)}")
+    n = len(spmaps)
+    emb = embed_batch(model, batch, phase)
+    tall = stack_maps(spmaps)
+    pooled = superpixel_mean(tall, reshape(emb, (n * ts, ts, model.config.embedding_dim)))
     distances = class_distances(pooled, model.codebook)
-    labels = winner(distances)
-    raster = broadcast_labels(spmap, labels)
-    return distances, raster
+    rasters = broadcast_labels(tall, winner(distances)).reshape(n, ts, ts)
+    return distances, rasters
+
+
+def infer_chunk(config: DcnConfig) -> int:
+    """Tiles per inference chunk under ``INFER_CHUNK_BYTES``.
+
+    The largest per-tile temporary of an infer pass is the im2col
+    columns of the widest 3x3 conv: ``9 * c_in * side**2`` float32
+    values, where the first conv takes the input bands at full side and
+    the encoder's second conv and the decoder conv of block i both take
+    ``block_channels[i]`` at side ``t >> i``. The first conv alone,
+    ``36 * c * t * t`` bytes, outweighs SLIC's float64 padded planes of
+    the same tile, at most ``8 * c * (2t - 1)**2`` bytes, so the columns
+    set the chunk. A model too wide for the budget runs one tile at a time.
+    """
+    t = config.tile_size
+    widest = max(
+        [config.input_channels * t * t]
+        + [c * (t >> i) ** 2 for i, c in enumerate(config.block_channels)]
+    )
+    return max(1, INFER_CHUNK_BYTES // (9 * widest * 4))
+
+
+def infer_rasters(
+    model: DcnModel, tiles: list[np.ndarray], spmaps: list[SuperpixelMap]
+) -> list[np.ndarray]:
+    """Infer-phase label rasters of [t, t, c_in] tiles, chunk by chunk.
+
+    Tiles go through ``forward_batch`` in chunks of ``infer_chunk``;
+    each raster equals ``forward`` on its tile alone.
+    """
+    chunk = infer_chunk(model.config)
+    rasters = []
+    for lo in range(0, len(tiles), chunk):
+        batch = Tensor(np.stack(tiles[lo : lo + chunk]), dtype=model.head.kernel.data.dtype)
+        rasters.extend(forward_batch(model, batch, spmaps[lo : lo + chunk], "infer")[1])
+    return rasters
 
 
 def _config_to_text(config: DcnConfig) -> str:

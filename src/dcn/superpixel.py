@@ -4,7 +4,9 @@ A from-scratch SLIC clusterer produces compact, near-uniform segments
 on a multi-channel feature image. Pixels are assigned to the nearest
 seeded cluster center under a combined feature/spatial distance, centers
 move to their segment means, and tiny or disconnected fragments are
-merged into neighbouring segments afterwards. ``superpixel_mean`` pools
+merged into neighbouring segments afterwards. A stack of equally sized
+tiles is clustered at once, each tile as it would be on its own.
+``superpixel_mean`` pools
 per-pixel descriptors into per-segment descriptors differentiably, so a
 loss on segments backpropagates to every member pixel.
 """
@@ -22,11 +24,12 @@ CONVERGENCE_EPS = 1e-3
 """Pixels of center motion, summed over all centers, below which a sweep
 counts as converged; see ``slic_segment``."""
 
-SWEEP_BLOCK_CELLS = 1 << 14
+SWEEP_BLOCK_CELLS = 1 << 15
 """Window cells an assignment sweep scores at once. Centers are taken in
 blocks of about this many cells, so each per-sweep temporary stays near
-128 KiB whatever the image size and center count; on 64x64 tiles with
-64 centers that ran faster than one block holding every center."""
+256 KiB whatever the stack size and center count; on stacks of 64x64
+tiles with 64 centers each that ran faster than blocks of half or twice
+the size."""
 
 
 @dataclass(frozen=True)
@@ -59,15 +62,11 @@ class SlicParams:
 
 @dataclass
 class SuperpixelMap:
-    """Dense segmentation of one image plus per-segment statistics.
+    """Dense segmentation of one image: labels and segment sizes.
 
     ``labels`` maps each pixel to a segment id in ``[0, n_segments)``;
     ids are dense and ordered by first appearance in row-major scan.
-    ``counts`` and ``feature_means`` hold each segment's pixel count and
-    mean feature vector; ``features`` keeps the source raster so the
-    statistics can be recomputed after segments are reshaped. A map
-    built from labels alone (a pooling partition) has neither: both
-    are None.
+    ``counts`` holds each segment's pixel count.
     ``center_motion`` records the summed Euclidean center displacement
     of each clustering iteration that ran.
     """
@@ -75,8 +74,6 @@ class SuperpixelMap:
     labels: np.ndarray
     n_segments: int
     counts: np.ndarray
-    feature_means: np.ndarray | None
-    features: np.ndarray | None
     center_motion: tuple[float, ...] = field(default_factory=tuple)
     converged: bool = False
 
@@ -94,17 +91,17 @@ class SuperpixelMap:
     ) -> "SuperpixelMap":
         """Build a map from a label raster, validating the partition.
 
-        Without ``features`` the map carries labels and counts only,
-        which is all that pooling needs.
+        ``features``, when given, must be an [h, w, c] raster covering
+        the labels; it is checked, not kept.
         """
         labels = np.asarray(labels)
         if labels.ndim != 2:
             raise ValueError(f"labels must be [h, w], got shape {labels.shape}")
         if features is not None:
-            features = np.asarray(features, dtype=np.float64)
-            if features.ndim != 3 or features.shape[:2] != labels.shape:
+            shape = np.shape(features)
+            if len(shape) != 3 or shape[:2] != labels.shape:
                 raise ValueError(
-                    f"features shape {features.shape} does not cover labels {labels.shape}"
+                    f"features shape {shape} does not cover labels {labels.shape}"
                 )
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
@@ -112,16 +109,25 @@ class SuperpixelMap:
         counts = np.bincount(labels.ravel(), minlength=n)
         if labels.min() < 0 or (counts == 0).any():
             raise ValueError("labels must be dense in [0, S) with no empty segment")
-        means = None if features is None else segment_means(features, labels, n)
         return cls(
             labels=labels.astype(np.int64),
             n_segments=n,
             counts=counts,
-            feature_means=means,
-            features=features,
             center_motion=tuple(center_motion),
             converged=converged,
         )
+
+
+def stack_maps(spmaps) -> SuperpixelMap:
+    """One tall map of equally wide maps laid top to bottom.
+
+    Each map's labels are offset by the segment count of the maps above
+    it, so segment ids stay dense and keep their order tile by tile.
+    """
+    offsets = np.cumsum([0] + [sp.n_segments for sp in spmaps[:-1]])
+    labels = np.concatenate([sp.labels + off for sp, off in zip(spmaps, offsets)])
+    counts = np.concatenate([sp.counts for sp in spmaps])
+    return SuperpixelMap(labels=labels, n_segments=len(counts), counts=counts)
 
 
 def zscore_features(tile: np.ndarray) -> np.ndarray:
@@ -136,29 +142,31 @@ def zscore_features(tile: np.ndarray) -> np.ndarray:
 def _gradient_magnitude(feat: np.ndarray) -> np.ndarray:
     """Squared central-difference magnitude per pixel, summed over channels.
 
-    Border pixels get +inf so seed perturbation never lands on them.
+    Takes [..., h, w, c] and returns [..., h, w]. Border pixels get +inf
+    so seed perturbation never lands on them.
     """
-    h, w, _ = feat.shape
-    g = np.full((h, w), np.inf)
+    *lead, h, w, _ = feat.shape
+    g = np.full((*lead, h, w), np.inf)
     if h >= 3 and w >= 3:
-        inner = np.zeros((h - 2, w - 2))
-        dy = feat[2:, 1:-1, :] - feat[:-2, 1:-1, :]
-        dx = feat[1:-1, 2:, :] - feat[1:-1, :-2, :]
+        dy = feat[..., 2:, 1:-1, :] - feat[..., :-2, 1:-1, :]
+        dx = feat[..., 1:-1, 2:, :] - feat[..., 1:-1, :-2, :]
+        inner = np.zeros((*lead, h - 2, w - 2))
         inner += (dy ** 2).sum(axis=-1) + (dx ** 2).sum(axis=-1)
-        g[1:-1, 1:-1] = inner
+        g[..., 1:-1, 1:-1] = inner
     return g
 
 
 def seed_centers(feat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Grid-seed cluster centers, nudged off high-gradient pixels.
+    """Grid-seed the cluster centers of every tile of a [t, h, w, c] stack.
 
     Each grid point, in row-major order, moves to the lowest-gradient
-    pixel of its 3x3 neighbourhood clipped to the image; the first
+    pixel of its 3x3 neighbourhood clipped to the tile; the first
     minimum in row-major order wins.
 
-    Returns (positions [n, 2] as float (y, x), features [n, c], S_grid).
+    Returns (positions [t, n, 2] as float (y, x), features [t, n, c],
+    S_grid); every tile gets the same n centers and spacing.
     """
-    h, w, _ = feat.shape
+    t, h, w, _ = feat.shape
     s_grid = float(np.sqrt(h * w / k))
     nx = max(1, int(round(w / s_grid)))
     ny = max(1, int(round(h / s_grid)))
@@ -170,14 +178,14 @@ def seed_centers(feat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, floa
     ys = np.repeat(gy, nx)[:, None] + np.repeat(step, 3)  # [n, 9], row-major 3x3
     xs = np.tile(gx, ny)[:, None] + np.tile(step, 3)
     inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-    g = np.where(inside, grad[np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)], np.inf)
+    g = np.where(inside, grad[:, np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)], np.inf)
     # np.argmin semantics within the clipped window: a NaN counts as the minimum
-    low = g.min(axis=1, keepdims=True)
-    pick = (inside & ((g == low) | np.isnan(g))).argmax(axis=1)
-    seeds = np.arange(len(pick))
+    low = g.min(axis=2, keepdims=True)
+    pick = (inside & ((g == low) | np.isnan(g))).argmax(axis=2)  # [t, n]
+    seeds = np.arange(len(ys))
     py, px = ys[seeds, pick], xs[seeds, pick]
-    positions = np.stack([py, px], axis=1).astype(np.float64)
-    return positions, feat[py, px].astype(np.float64), s_grid
+    positions = np.stack([py, px], axis=2).astype(np.float64)
+    return positions, feat[np.arange(t)[:, None], py, px].astype(np.float64), s_grid
 
 
 def assign_pixels(
@@ -187,28 +195,37 @@ def assign_pixels(
     s_grid: float,
     m: float,
 ) -> np.ndarray:
-    """One assignment sweep: each pixel joins its nearest center.
+    """One assignment sweep over a [t, h, w, c] stack: [t, h, w] labels.
 
-    A center reaches the pixels within ``2 * s_grid`` of it along each
+    Tile i's pixels join the nearest of its own centers,
+    ``positions[i]`` ([n, 2]) with features ``center_feats[i]``
+    ([n, c]), and labels count those centers from 0 in every tile. A
+    center reaches the pixels within ``2 * s_grid`` of it along each
     axis. The combined distance is ``sqrt(d_feat + (m / s_grid)**2 * d_xy)``
     with ``d_xy`` the squared spatial distance; ``d_feat`` adds the
     per-channel squared feature differences one channel at a time, in
     channel order (below 8 channels, the same bits as numpy's last-axis
     ``sum``). A pixel joins the center at the smallest distance, exact
     ties resolve to the lowest center index and a NaN distance never
-    wins. Pixels outside every search window fall back to a global
-    nearest-center pass, which sums channels with numpy's ``sum``.
+    wins. Pixels outside every search window of their tile fall back to
+    a nearest-center pass over all that tile's centers, which sums
+    channels with numpy's ``sum``.
 
-    Windows are scored for a block of centers at once (about
-    ``SWEEP_BLOCK_CELLS`` cells): per channel, a [centers, wy, wx] array
-    gathered from a strided view of the padded feature planes. A
-    scatter-min over pixels picks each pixel's winner in the block, and
-    a later block takes a pixel over only when strictly closer.
+    The centers of all tiles are numbered tile after tile and scored in
+    blocks (about ``SWEEP_BLOCK_CELLS`` cells): per channel, a
+    [centers, wy, wx] array gathered from a strided view of the tiles'
+    zero-padded feature planes, built once per call. A scatter-min over
+    the block's span of pixels, numbered ``tile * h * w + y * w + x``,
+    picks each pixel's winner in the block, and a later block takes a
+    pixel over only when strictly closer. Each tile's labels are those
+    it would get on its own.
     """
-    h, w, c = feat.shape
+    t, h, w, c = feat.shape
+    n = positions.shape[1]
     spatial_w = (m / s_grid) ** 2
     reach = 2.0 * s_grid
-    cy, cx = positions[:, 0], positions[:, 1]
+    cy, cx = positions[..., 0].ravel(), positions[..., 1].ravel()
+    tile_of = np.repeat(np.arange(t), n)
     # np.trunc, like int(), rounds toward zero for centers off the image
     y0 = np.maximum(0, np.trunc(cy - reach).astype(np.int64))
     y1 = np.minimum(h, np.trunc(cy + reach).astype(np.int64) + 1)
@@ -216,50 +233,61 @@ def assign_pixels(
     x1 = np.minimum(w, np.trunc(cx + reach).astype(np.int64) + 1)
     live = np.flatnonzero((y0 < y1) & (x0 < x1))
 
-    best = np.full(h * w, np.inf)  # per pixel: best distance, winning center
-    winner = np.full(h * w, -1)
+    best = np.full(t * h * w, np.inf)  # per pixel: best distance, winning center
+    winner = np.full(t * h * w, -1)
     if live.size:
         wy, wx = int((y1 - y0)[live].max()), int((x1 - x0)[live].max())
-        planes = np.zeros((c, h + wy - 1, w + wx - 1))
-        planes[:, :h, :w] = np.moveaxis(feat, 2, 0)
-        windows = np.lib.stride_tricks.sliding_window_view(planes, (wy, wx), axis=(1, 2))
+        planes = np.zeros((c, t, h + wy - 1, w + wx - 1))
+        planes[:, :, :h, :w] = np.moveaxis(feat, 3, 0)
+        windows = np.lib.stride_tricks.sliding_window_view(planes, (wy, wx), axis=(2, 3))
+        flat_positions = positions.reshape(-1, 2)
+        flat_feats = center_feats.reshape(-1, c)
+        # first pixel of each center's window row, on the tile-major pixel axis
+        row_start = tile_of * (h * w) + y0 * w
+        rows = np.arange(wy)
         step = max(1, SWEEP_BLOCK_CELLS // (wy * wx))
         for lo in range(0, live.size, step):
             idx = live[lo : lo + step]
             d = _window_distances(
-                windows, positions[idx], center_feats[idx], y0[idx], x0[idx], spatial_w
+                windows,
+                flat_positions[idx],
+                flat_feats[idx],
+                tile_of[idx],
+                y0[idx],
+                x0[idx],
+                spatial_w,
             ).ravel()
-            # the block's windows lie in image rows [top, bottom); cells
-            # outside their own center's window go to the spare slot `band`
-            top, bottom = int(y0[idx].min()), int(y1[idx].max())
-            band = (bottom - top) * w
-            rows = y0[idx, None] + np.arange(wy)
+            # the block's windows lie in pixels [top, bottom); cells outside
+            # their own center's window go to the spare slot `band`
+            top = int(row_start[idx].min())
+            bottom = int((row_start[idx] + (y1[idx] - y0[idx]) * w).max())
+            band = bottom - top
+            row_at = np.where(
+                rows < (y1 - y0)[idx, None], row_start[idx, None] - top + rows * w, band
+            )
             cols = x0[idx, None] + np.arange(wx)
-            row_at = np.where(rows < y1[idx, None], (rows - top) * w, band)
             col_at = np.where(cols < x1[idx, None], cols, band)
             pix = row_at[:, :, None] + col_at[:, None, :]
             pix = np.minimum(pix, band, out=pix).ravel()
             block_best = np.full(band + 1, np.inf)
-            np.minimum.at(block_best, pix, d)
+            np.fmin.at(block_best, pix, d)  # a NaN distance is skipped
             tied = np.flatnonzero(d == block_best[pix])
-            block_winner = np.full(band + 1, len(positions))
+            block_winner = np.full(band + 1, t * n)
             np.minimum.at(block_winner, pix[tied], idx[tied // (wy * wx)])
             # a block takes a pixel over only when strictly closer, since
             # earlier blocks hold the lower center indices
-            rows_span = slice(top * w, bottom * w)
-            closer = block_best[:-1] < best[rows_span]
-            best[rows_span][closer] = block_best[:-1][closer]
-            winner[rows_span][closer] = block_winner[:-1][closer]
-    labels = winner.reshape(h, w)
-
+            span = slice(top, bottom)
+            closer = block_best[:-1] < best[span]
+            best[span][closer] = block_best[:-1][closer]
+            winner[span][closer] = block_winner[:-1][closer]
+    labels = winner.reshape(t, h, w)
     missed = labels < 0
+    labels -= np.arange(t)[:, None, None] * n  # each tile counts its centers from 0
     if missed.any():
+        ts, ys, xs = np.nonzero(missed)
         pts = feat[missed]
-        ys, xs = np.nonzero(missed)
-        d_feat = ((pts[:, None, :] - center_feats[None, :, :]) ** 2).sum(axis=-1)
-        d_xy = (ys[:, None] - positions[None, :, 0]) ** 2 + (
-            xs[:, None] - positions[None, :, 1]
-        ) ** 2
+        d_feat = ((pts[:, None, :] - center_feats[ts]) ** 2).sum(axis=-1)
+        d_xy = (ys[:, None] - positions[ts, :, 0]) ** 2 + (xs[:, None] - positions[ts, :, 1]) ** 2
         d = np.sqrt(d_feat + spatial_w * d_xy)
         labels[missed] = d.argmin(axis=1)
     return labels
@@ -269,20 +297,21 @@ def _window_distances(
     windows: np.ndarray,
     positions: np.ndarray,
     center_feats: np.ndarray,
+    tiles: np.ndarray,
     y0: np.ndarray,
     x0: np.ndarray,
     spatial_w: float,
 ) -> np.ndarray:
     """Combined distance from each center to each cell of its window block.
 
-    ``windows`` is the [c, ., ., wy, wx] sliding view of the zero-padded
-    channel planes; block i starts at (y0[i], x0[i]). Returns
-    [n, wy, wx] with NaN turned to inf.
+    ``windows`` is the [c, t, ., ., wy, wx] sliding view of the
+    zero-padded channel planes; block i starts at (y0[i], x0[i]) of tile
+    ``tiles[i]``. Returns [n, wy, wx].
     """
     wy, wx = windows.shape[-2:]
     d = np.zeros((len(y0), wy, wx))
     for j in range(windows.shape[0]):
-        sq = windows[j][y0, x0]
+        sq = windows[j][tiles, y0, x0]
         sq -= center_feats[:, j, None, None]
         sq *= sq
         d += sq
@@ -292,7 +321,6 @@ def _window_distances(
     d_xy *= spatial_w
     d += d_xy
     np.sqrt(d, out=d)
-    d[np.isnan(d)] = np.inf
     return d
 
 
@@ -408,75 +436,99 @@ def enforce_connectivity(spmap: SuperpixelMap, min_size: float) -> SuperpixelMap
 
     Every output label is a single 4-connected component; components
     below ``min_size`` pixels merge into their largest adjacent
-    component. Segment statistics are recomputed from the stored
-    feature raster.
+    component. Counts are recomputed from the merged labels.
     """
     merged = _merge_fragments(spmap.labels, min_size)
     return SuperpixelMap.from_labels(
-        merged,
-        spmap.features,
-        center_motion=spmap.center_motion,
-        converged=spmap.converged,
+        merged, center_motion=spmap.center_motion, converged=spmap.converged
     )
 
 
 def slic_segment(features, params: SlicParams) -> SuperpixelMap:
     """Cluster an [h, w, c] feature image into about ``k_desired`` segments.
 
-    Each sweep assigns pixels to centers (``assign_pixels``) and moves
-    every occupied center to its members' mean. Sweeping stops after
-    ``max_iters`` sweeps, or earlier once the displacement of all centers
-    together drops below ``CONVERGENCE_EPS``; only then is ``converged``
-    set. The bound does not scale with the center count: the
-    benchmark's 64x64 tiles (k=64) never reach it and run all
-    ``max_iters`` sweeps. Fragments are merged afterwards.
+    The one-tile case of ``slic_segment_batch``.
     """
     if isinstance(features, Tensor):
         features = features.data
     feat = np.asarray(features, dtype=np.float64)
     if feat.ndim != 3:
         raise ValueError(f"expected [h, w, c] features, got shape {feat.shape}")
+    return slic_segment_batch(feat[None], params)[0]
+
+
+def slic_segment_batch(features, params: SlicParams) -> list[SuperpixelMap]:
+    """Cluster every tile of a [t, h, w, c] stack into about ``k_desired`` segments.
+
+    Each sweep assigns the pixels of the tiles still sweeping to their
+    centers (``assign_pixels``) and moves every occupied center to its
+    members' mean. A tile stops after ``max_iters`` sweeps, or earlier
+    once the displacement of its centers together drops below
+    ``CONVERGENCE_EPS``; only then is its ``converged`` set. The bound
+    does not scale with the center count: the benchmark's 64x64 tiles
+    (k=64) never reach it and run all ``max_iters`` sweeps. Fragments are
+    merged afterwards, tile by tile. Every tile's map, motion and
+    ``converged`` are those it gets when segmented on its own.
+    """
+    feat = np.asarray(features, dtype=np.float64)
+    if feat.ndim != 4:
+        raise ValueError(f"expected [t, h, w, c] features, got shape {feat.shape}")
     if feat.size == 0:
         raise ValueError("features must be non-empty")
-    h, w, _ = feat.shape
+    t, h, w, c = feat.shape
     k = params.k_desired
     if k > h * w:
         raise ValueError(f"k_desired {k} exceeds pixel count {h * w}")
 
     positions, cfeats, s_grid = seed_centers(feat, k)
+    n = positions.shape[1]
     ys, xs = np.mgrid[0:h, 0:w]
-    ys, xs = ys.ravel(), xs.ravel()
-    pixels = feat.reshape(-1, feat.shape[2])
-    motion_history: list[float] = []
-    converged = False
-    labels = None
+    ys, xs = np.tile(ys.ravel(), t), np.tile(xs.ravel(), t)
+    labels = np.empty((t, h, w), dtype=np.int64)
+    motion: list[list[float]] = [[] for _ in range(t)]
+    converged = np.zeros(t, dtype=bool)
+    active = np.arange(t)  # tiles still sweeping
 
     for _ in range(params.max_iters):
-        labels = assign_pixels(feat, positions, cfeats, s_grid, params.m)
-        flat = labels.ravel()
-        counts = np.bincount(flat, minlength=len(positions))
-        csum = _label_sums(flat, pixels, len(positions))
-        ysum = np.bincount(flat, weights=ys, minlength=len(positions))
-        xsum = np.bincount(flat, weights=xs, minlength=len(positions))
+        a = len(active)
+        sub = feat[active]
+        swept = assign_pixels(sub, positions[active], cfeats[active], s_grid, params.m)
+        labels[active] = swept
+        # one label space over the active tiles: tile j's centers are j*n + [0, n)
+        flat = (swept + (np.arange(a) * n)[:, None, None]).ravel()
+        counts = np.bincount(flat, minlength=a * n)
+        csum = _label_sums(flat, sub.reshape(-1, c), a * n)
+        ysum = np.bincount(flat, weights=ys[: flat.size], minlength=a * n)
+        xsum = np.bincount(flat, weights=xs[: flat.size], minlength=a * n)
 
         occupied = counts > 0
-        new_positions = positions.copy()
-        new_positions[occupied, 0] = ysum[occupied] / counts[occupied]
-        new_positions[occupied, 1] = xsum[occupied] / counts[occupied]
-        cfeats[occupied] = csum[occupied] / counts[occupied, None]
+        old = positions[active].reshape(-1, 2)
+        new = old.copy()
+        new[occupied, 0] = ysum[occupied] / counts[occupied]
+        new[occupied, 1] = xsum[occupied] / counts[occupied]
+        moved = cfeats[active].reshape(-1, c)
+        moved[occupied] = csum[occupied] / counts[occupied, None]
+        positions[active] = new.reshape(a, n, 2)
+        cfeats[active] = moved.reshape(a, n, c)
 
-        motion = float(np.sqrt(((new_positions - positions) ** 2).sum(axis=1)).sum())
-        motion_history.append(motion)
-        positions = new_positions
-        if motion < CONVERGENCE_EPS:
-            converged = True
+        step = np.sqrt(((new - old) ** 2).sum(axis=1)).reshape(a, n).sum(axis=1)
+        for i, value in zip(active.tolist(), step.tolist()):
+            motion[i].append(value)
+        settled = step < CONVERGENCE_EPS
+        converged[active[settled]] = True
+        active = active[~settled]
+        if not active.size:
             break
 
     min_size = params.min_size_factor * (h * w / k)
-    merged = _merge_fragments(labels, min_size)
-    return SuperpixelMap.from_labels(
-        merged, feat, center_motion=tuple(motion_history), converged=converged
-    )
+    return [
+        SuperpixelMap.from_labels(
+            _merge_fragments(labels[i], min_size),
+            center_motion=tuple(motion[i]),
+            converged=bool(converged[i]),
+        )
+        for i in range(t)
+    ]
 
 
 def _label_sums(flat: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

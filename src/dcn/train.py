@@ -23,8 +23,12 @@ from .autodiff import GradTape, Tensor, backward, reshape
 from .competition import class_distances, competition_loss, softmin_probs
 from .data import TileRecord, write_atomic
 from .errors import DataError, NumericError
-from .model import DcnModel, embed_batch, forward, save_checkpoint
-from .superpixel import SuperpixelMap, segment_means, superpixel_mean
+from .model import DcnModel, embed_batch, infer_rasters, save_checkpoint
+
+# unused here; perfbench/tracer.py patches this name in this module, so it
+# stays importable from it
+from .model import forward  # noqa: F401
+from .superpixel import segment_means, stack_maps, superpixel_mean
 
 ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
@@ -266,18 +270,11 @@ def _batch_gradients(model, prepared, indexes):
     n = len(indexes)
     t = model.config.tile_size
     xb = Tensor(np.stack([prepared[i][0] for i in indexes]))
-    labels_parts, truth_parts, weight_parts = [], [], []
-    offset = 0
-    for i in indexes:
-        _, spmap, truth, counts, _ = prepared[i]
-        labels_parts.append(spmap.labels + offset)
-        offset += spmap.n_segments
-        truth_parts.append(truth)
-        weight_parts.append(counts / (n * counts.sum()))
-    tall_labels = np.vstack(labels_parts)
-    combined = SuperpixelMap.from_labels(tall_labels)
-    truth_all = np.concatenate(truth_parts)
-    weights_all = np.concatenate(weight_parts)
+    combined = stack_maps([prepared[i][1] for i in indexes])
+    truth_all = np.concatenate([prepared[i][2] for i in indexes])
+    weights_all = np.concatenate(
+        [prepared[i][3] / (n * prepared[i][3].sum()) for i in indexes]
+    )
 
     params = model.parameters()
     with GradTape() as tape:
@@ -296,9 +293,9 @@ def _batch_gradients(model, prepared, indexes):
 
 
 def _validation_iou(model, prepared) -> float:
+    rasters = infer_rasters(model, [p[0] for p in prepared], [p[1] for p in prepared])
     counts = ConfusionCounts(0, 0, 0, 0)
-    for data, spmap, _truth, _weights, mask in prepared:
-        _, raster = forward(model, Tensor(data), spmap, "infer")
+    for raster, (*_, mask) in zip(rasters, prepared):
         counts = counts + confusion(raster, mask)
     return iou(counts)
 

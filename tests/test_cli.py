@@ -3,11 +3,14 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dcn
 from dcn import cli
+from dcn import model as model_module
 from dcn.data import read_bmsr
 from dcn.errors import NumericError
 from dcn.model import load_checkpoint
@@ -185,6 +188,21 @@ class TestTrain:
         assert open(model, "rb").read() == open(workspace["model"], "rb").read()
         assert open(hist).read() == open(workspace["hist"]).read()
 
+    def test_segmentation_chunks_leave_outputs_unchanged(self, tmp_path, monkeypatch):
+        # 128 px scenes give four 64 px tiles each, segmented one at a time
+        # or in chunks of three (the last chunk of each scene holds one)
+        data = str(tmp_path / "data")
+        assert cli.run(["synth", "--seed", "2", "--count", "2", "--size", "128", "--out", data]) == 0
+        argv = ["train", "--data", data, "--epochs", "1", "--batch", "4", "--window", "64",
+                "--stride", "64", "--channels", "2,2,2,2,2", "--dim", "2", "--dropout", "0.0"]
+        outputs = []
+        for chunk in (1, 3):
+            monkeypatch.setattr(model_module, "INFER_CHUNK_BYTES", chunk * 9 * 6 * 64 * 64 * 4)
+            out, hist = str(tmp_path / f"m{chunk}.dcnw"), str(tmp_path / f"h{chunk}.json")
+            assert cli.run(argv + ["--out", out, "--history", hist]) == 0
+            outputs.append((open(out, "rb").read(), open(hist).read()))
+        assert outputs[0] == outputs[1]
+
     def test_flag_validation(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "m.dcnw")
         base = ["train", "--data", workspace["data"], "--out", out]
@@ -293,6 +311,37 @@ class TestPredict:
         _assert_data_error_names(capsys, code, bad, "non-finite")
         assert not os.path.exists(out)
 
+    def test_mask_equals_per_tile_reference(self, tmp_path, monkeypatch):
+        # 16 tiles of 64 px in chunks of three: the last chunk holds one
+        # tile; the reference segments and infers tile by tile, then stitches
+        data = str(tmp_path / "scene")
+        assert cli.run(["synth", "--seed", "5", "--count", "1", "--size", "256", "--out", data]) == 0
+        config = dcn.DcnConfig(
+            block_channels=(8, 16, 32, 64, 128), embedding_dim=8, dropout_rate=0.0, tile_size=64
+        )
+        model = dcn.build(config)
+        checkpoint = str(tmp_path / "m.dcnw")
+        dcn.save_checkpoint(model, checkpoint)
+        monkeypatch.setattr(model_module, "INFER_CHUNK_BYTES", 3 * 9 * 8 * 64 * 64 * 4)
+        assert model_module.infer_chunk(config) == 3
+        scene = os.path.join(data, "scene_000.bmsr")
+        pred = str(tmp_path / "pred.bmsr")
+        assert cli.run(["predict", "--model", checkpoint, "--input", scene, "--out", pred]) == 0
+
+        tiles = dcn.tile(dcn.normalize(dcn.compute_ndvi(read_bmsr(scene)))[0], window=64, stride=64)
+        params = dcn.SlicParams(k_desired=64, m=2.0)
+        out = []
+        for record in tiles.tiles:
+            bands = record.stack.select(config.input_bands)
+            spmap = dcn.slic_segment(dcn.zscore_features(bands), params)
+            _, raster = dcn.forward(model, dcn.Tensor(bands.astype(np.float32)), spmap, "infer")
+            stack = dcn.RasterStack(64, 64, record.stack.gsd, (dcn.Band("MASK", raster.astype(np.float32)),))
+            out.append(replace(record, stack=stack))
+        want = dcn.stitch(replace(tiles, tiles=tuple(out))).band("MASK")
+        got = read_bmsr(pred).band("MASK")
+        assert len(tiles.tiles) == 16 and set(np.unique(want)) == {0.0, 1.0}
+        np.testing.assert_array_equal(got, want)
+
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         code = cli.run(
             ["predict", "--model", str(tmp_path / "nope.dcnw"),
@@ -399,6 +448,21 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="shape bug"):
             cli.run(["eval", "--pred", "a", "--truth", "b", "--json", "c"])
         assert "usage error" not in capsys.readouterr().err
+
+    def test_out_of_memory_is_a_data_error_naming_the_flags(self, workspace, tmp_path, capsys):
+        # the head kernel of --dim 10**12 asks numpy for 14.6 TiB, which
+        # fails at once, before any of it is committed
+        out = str(tmp_path / "m.dcnw")
+        code = cli.run(
+            ["train", "--data", workspace["data"], "--window", "64", "--stride", "64",
+             "--channels", "2,2,2,2,2", "--dim", str(10**12), "--epochs", "1", "--out", out]
+        )
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("out of memory:") and "TiB" in err
+        for flag in ("--batch", "--window", "--channels", "--dim"):
+            assert flag in err
+        assert not os.path.exists(out)
 
     def test_negative_seed_and_nan_compactness_are_usage_errors(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "x")

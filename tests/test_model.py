@@ -7,13 +7,19 @@ import pytest
 from dcn.autodiff import Tensor, grad_check
 from dcn.competition import competition_loss, softmin_probs, winner
 from dcn.errors import DataError
+from dcn import model as model_module
 from dcn.model import (
     CHECKPOINT_MAGIC,
+    INFER_CHUNK_BYTES,
     READING,
     DcnConfig,
     build,
     embed,
+    embed_batch,
     forward,
+    forward_batch,
+    infer_chunk,
+    infer_rasters,
     load_checkpoint,
     save_checkpoint,
 )
@@ -241,6 +247,86 @@ class TestForward:
         before = model.buffers()["enc0.bn1.running_var"].data.copy()
         forward(model, self.tile, self.spmap, "infer")
         assert np.array_equal(before, model.buffers()["enc0.bn1.running_var"].data)
+
+
+def moved_running_stats(model, rng):
+    """Set every norm's running statistics off their identity start."""
+    for name, buf in model.buffers().items():
+        if name.endswith("running_mean"):
+            value = rng.normal(scale=0.1, size=buf.shape)
+        else:
+            value = rng.uniform(0.5, 2.0, size=buf.shape)
+        model.set_buffer(name, Tensor(value.astype(buf.data.dtype)))
+    return model
+
+
+class TestBatchedInference:
+    """An infer pass over a batch gives every tile its batch-of-one outputs, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "channels, dim, rate",
+        [((8, 16, 32, 64, 128), 8, 0.0), ((32, 64, 128, 256, 512), 16, 0.5)],
+        ids=["narrow", "wide"],
+    )
+    def test_embed_batch_equals_embed_per_tile(self, channels, dim, rate):
+        # the benchmark's predict and train-wide models at 64 px
+        cfg = DcnConfig(block_channels=channels, embedding_dim=dim, dropout_rate=rate, tile_size=64)
+        rng = np.random.default_rng(60)
+        model = moved_running_stats(build(cfg), rng)
+        tiles = rng.standard_normal((5, 64, 64, 6)).astype(np.float32)
+        single = [embed(model, Tensor(t), "infer").data.tobytes() for t in tiles]
+        for lo, hi in ((0, 4), (4, 5), (0, 5)):
+            out = embed_batch(model, Tensor(tiles[lo:hi]), "infer").data
+            assert [o.tobytes() for o in out] == single[lo:hi], (lo, hi)
+
+    def test_forward_batch_equals_forward_per_tile(self):
+        rng = np.random.default_rng(61)
+        model = moved_running_stats(build(tiny_config()), rng)
+        tiles = rng.standard_normal((3, 32, 32, 2)).astype(np.float32)
+        labels = rng.integers(0, 5, size=(32, 32))
+        labels.ravel()[:5] = np.arange(5)
+        maps = [quadrant_map(32), SuperpixelMap.from_labels(np.zeros((32, 32), np.int64)),
+                SuperpixelMap.from_labels(labels)]
+        distances, rasters = forward_batch(model, Tensor(tiles), maps, "infer")
+        parts = [forward(model, Tensor(t), sp, "infer") for t, sp in zip(tiles, maps)]
+        want = np.concatenate([d.data for d, _ in parts])
+        assert distances.data.tobytes() == want.tobytes()
+        for raster, (_, one) in zip(rasters, parts):
+            np.testing.assert_array_equal(raster, one)
+
+    def test_infer_rasters_in_chunks_equal_forward_per_tile(self, monkeypatch):
+        # chunks of two over five tiles: the last chunk holds one
+        cfg = tiny_config()
+        monkeypatch.setattr(model_module, "INFER_CHUNK_BYTES", 2 * 9 * 2 * 32 * 32 * 4)
+        assert infer_chunk(cfg) == 2
+        rng = np.random.default_rng(62)
+        model = moved_running_stats(build(cfg), rng)
+        # a steep head spreads the embeddings, so rasters mix both classes
+        model.set_parameter("head.kernel", Tensor(model.head.kernel.data * 30, requires_grad=True))
+        tiles = list(rng.standard_normal((5, 32, 32, 2)).astype(np.float32))
+        stripes = [np.tile(np.arange(32) // width, (32, 1)) for width in (4, 5, 8, 4, 5)]
+        maps = [SuperpixelMap.from_labels(labels) for labels in stripes]
+        rasters = infer_rasters(model, tiles, maps)
+        assert len(rasters) == 5
+        for tile, spmap, raster in zip(tiles, maps, rasters):
+            np.testing.assert_array_equal(raster, forward(model, Tensor(tile), spmap, "infer")[1])
+        assert 0 < np.mean(rasters) < 1
+
+    def test_chunk_follows_the_widest_columns(self):
+        # the CLI default model at --window 128 runs one tile at a time
+        assert infer_chunk(DcnConfig(tile_size=128)) == 1
+        # the narrow model's widest columns are its 8-channel convs at full side
+        narrow = DcnConfig(block_channels=(8, 16, 32, 64, 128), embedding_dim=8, tile_size=64)
+        assert infer_chunk(narrow) == INFER_CHUNK_BYTES // (9 * 8 * 64 * 64 * 4) == 4
+        # a wide deeper block can set it: 512 channels at side 32
+        deep = DcnConfig(block_channels=(2, 512, 2, 2, 2), tile_size=64)
+        assert infer_chunk(deep) == 1 < infer_chunk(DcnConfig(block_channels=(2,) * 5, tile_size=64))
+
+    def test_map_count_must_match_batch(self):
+        model = build(tiny_config())
+        batch = Tensor(np.ones((2, 32, 32, 2), np.float32))
+        with pytest.raises(ValueError, match="maps"):
+            forward_batch(model, batch, [quadrant_map(32)], "infer")
 
 
 class TestCheckpoint:

@@ -21,6 +21,8 @@ from dcn.superpixel import (
     seed_centers,
     segment_means,
     slic_segment,
+    slic_segment_batch,
+    stack_maps,
     superpixel_mean,
     zscore_features,
 )
@@ -109,6 +111,17 @@ def _segment_means_add_at(values, labels, n):
     sums = np.zeros((n,) + values.shape[2:])
     np.add.at(sums, labels.ravel(), values.reshape((labels.size,) + values.shape[2:]))
     return sums / (counts[:, None] if values.ndim == 3 else counts)
+
+
+def _seed_one(feat, k):
+    """seed_centers on a stack of one [h, w, c] tile, unstacked."""
+    positions, cfeats, s_grid = seed_centers(feat[None], k)
+    return positions[0], cfeats[0], s_grid
+
+
+def _assign_one(feat, positions, center_feats, s_grid, m):
+    """assign_pixels on a stack of one [h, w, c] tile, unstacked."""
+    return assign_pixels(feat[None], positions[None], center_feats[None], s_grid, m)[0]
 
 
 def _seed_centers_loop(feat, k):
@@ -364,7 +377,6 @@ class TestSuperpixelMapConstruction:
         sp = SuperpixelMap.from_labels(labels, feat)
         assert sp.n_segments == 5
         np.testing.assert_array_equal(sp.counts, np.bincount(labels.ravel()))
-        np.testing.assert_allclose(sp.feature_means, segment_means(feat, labels, 5))
 
     def test_partition_accounting(self):
         rng = np.random.default_rng(312)
@@ -377,7 +389,6 @@ class TestSuperpixelMapConstruction:
         rng = np.random.default_rng(313)
         labels = _dense_random_labels(rng, 5, 6, 4)
         sp = SuperpixelMap.from_labels(labels)
-        assert sp.features is None and sp.feature_means is None
         np.testing.assert_array_equal(sp.counts, np.bincount(labels.ravel()))
         with pytest.raises(ValueError):
             SuperpixelMap.from_labels(np.array([[0, 2], [0, 2]]))  # gap at 1
@@ -451,12 +462,9 @@ class TestEnforceConnectivity:
     def test_statistics_recomputed_after_merge(self):
         rng = np.random.default_rng(313)
         labels = _dense_random_labels(rng, 10, 10, 8)
-        feat = rng.normal(size=(10, 10, 2))
-        out = enforce_connectivity(SuperpixelMap.from_labels(labels, feat), min_size=4)
+        out = enforce_connectivity(SuperpixelMap.from_labels(labels), min_size=4)
         assert out.counts.sum() == 100
-        np.testing.assert_allclose(
-            out.feature_means, segment_means(feat, out.labels, out.n_segments)
-        )
+        np.testing.assert_array_equal(out.counts, np.bincount(out.labels.ravel()))
 
 
 class TestMergeFragmentsAgainstBfs:
@@ -524,8 +532,8 @@ class TestMergeFragmentsOnWhiteNoise:
         min_size = params.min_size_factor * 64 * 64 / params.k_desired
         for _ in range(3):
             feat = rng.standard_normal((64, 64, 6))
-            positions, cfeats, s_grid = seed_centers(feat, params.k_desired)
-            labels = assign_pixels(feat, positions, cfeats, s_grid, params.m)
+            positions, cfeats, s_grid = _seed_one(feat, params.k_desired)
+            labels = _assign_one(feat, positions, cfeats, s_grid, params.m)
             assert len(flood_components(labels)) > 1000
             np.testing.assert_array_equal(
                 _merge_fragments(labels, min_size), _merge_fragments_bfs(labels, min_size)
@@ -554,16 +562,29 @@ class TestSeedCenters:
             elif case % 3 == 2:
                 feat = np.zeros_like(feat)
             k = int(rng.integers(1, h * w + 1))
-            got = seed_centers(feat, k)
+            got = _seed_one(feat, k)
             want = _seed_centers_loop(feat, k)
             np.testing.assert_array_equal(got[0], want[0], err_msg=f"case {case}")
             np.testing.assert_array_equal(got[1], want[1], err_msg=f"case {case}")
             assert got[2] == want[2]
 
+    def test_stacked_tiles_match_frozen_loop_per_tile(self):
+        rng = np.random.default_rng(353)
+        for case in range(30):
+            t, h, w = int(rng.integers(1, 6)), int(rng.integers(1, 41)), int(rng.integers(1, 41))
+            feat = np.round(rng.normal(size=(t, h, w, int(rng.integers(1, 8)))), 1)
+            k = int(rng.integers(1, h * w + 1))
+            positions, cfeats, s_grid = seed_centers(feat, k)
+            for i in range(t):
+                want = _seed_centers_loop(feat[i], k)
+                np.testing.assert_array_equal(positions[i], want[0], err_msg=f"case {case}")
+                np.testing.assert_array_equal(cfeats[i], want[1], err_msg=f"case {case}")
+                assert s_grid == want[2]
+
     def test_nan_gradient_wins_like_argmin(self):
         feat = np.zeros((9, 9, 2))
         feat[5, 5, 0] = np.nan  # NaN gradients at (4, 5) and (5, 4): not first in the window
-        got = seed_centers(feat, 1)
+        got = _seed_one(feat, 1)
         want = _seed_centers_loop(feat, 1)
         np.testing.assert_array_equal(got[0], want[0])
 
@@ -580,7 +601,7 @@ class TestAssignPixels:
             if case % 2:
                 feat = np.round(feat, 1)
             k = int(rng.integers(1, h * w // 8 + 2))
-            positions, cfeats, s_grid = seed_centers(feat, k)
+            positions, cfeats, s_grid = _seed_one(feat, k)
             positions = positions + rng.normal(scale=rng.choice([0.5, s_grid]), size=positions.shape)
             if case % 3 == 0:
                 shift = rng.choice([-1.0, 1.0], size=2) * rng.uniform(s_grid, 4 * s_grid)
@@ -590,7 +611,7 @@ class TestAssignPixels:
             m = float(rng.choice([0.5, 2.0, 10.0]))
             fallbacks += bool(_uncovered(h, w, positions, s_grid).any())
             np.testing.assert_array_equal(
-                assign_pixels(feat, positions, cfeats, s_grid, m),
+                _assign_one(feat, positions, cfeats, s_grid, m),
                 _assign_pixels_loop(feat, positions, cfeats, s_grid, m),
                 err_msg=f"case {case}",
             )
@@ -604,13 +625,39 @@ class TestAssignPixels:
         for case in range(40):
             h, w = int(rng.integers(6, 41)), int(rng.integers(6, 41))
             feat = np.round(rng.normal(size=(h, w, int(rng.integers(1, 8)))), 1)
-            positions, cfeats, s_grid = seed_centers(feat, int(rng.integers(1, h * w // 8 + 2)))
+            positions, cfeats, s_grid = _seed_one(feat, int(rng.integers(1, h * w // 8 + 2)))
             positions = positions + rng.normal(scale=s_grid, size=positions.shape)
             want = _assign_pixels_loop(feat, positions, cfeats, s_grid, 2.0)
             for cells in (1, 300, 1 << 30):
                 monkeypatch.setattr(superpixel, "SWEEP_BLOCK_CELLS", cells)
-                got = assign_pixels(feat, positions, cfeats, s_grid, 2.0)
+                got = _assign_one(feat, positions, cfeats, s_grid, 2.0)
                 np.testing.assert_array_equal(got, want, err_msg=f"case {case} cells {cells}")
+
+    def test_stacked_tiles_match_frozen_loop_per_tile(self, monkeypatch):
+        # each tile of a stack gets the frozen loop's labels on its own; in
+        # every other stack a third of the first tile's centers leave the
+        # image, so its global fallback runs beside tiles without one; blocks
+        # of 300 cells split the centers unevenly and cross tile borders
+        rng = np.random.default_rng(350)
+        fallbacks = 0
+        for case in range(40):
+            t, h, w = int(rng.integers(1, 6)), int(rng.integers(6, 41)), int(rng.integers(6, 41))
+            feat = rng.normal(size=(t, h, w, int(rng.integers(1, 8))))
+            if case % 2:
+                feat = np.round(feat, 1)
+            positions, cfeats, s_grid = seed_centers(feat, int(rng.integers(1, h * w // 8 + 2)))
+            positions = positions + rng.normal(scale=rng.choice([0.5, s_grid]), size=positions.shape)
+            if case % 2 == 0:
+                shift = rng.choice([-1.0, 1.0], size=2) * rng.uniform(s_grid, 4 * s_grid)
+                positions[0, : max(1, positions.shape[1] // 3)] += shift
+            m = float(rng.choice([0.5, 2.0, 10.0]))
+            monkeypatch.setattr(superpixel, "SWEEP_BLOCK_CELLS", int(rng.choice([300, 1 << 15])))
+            got = assign_pixels(feat, positions, cfeats, s_grid, m)
+            for i in range(t):
+                fallbacks += bool(_uncovered(h, w, positions[i], s_grid).any())
+                want = _assign_pixels_loop(feat[i], positions[i], cfeats[i], s_grid, m)
+                np.testing.assert_array_equal(got[i], want, err_msg=f"case {case} tile {i}")
+        assert fallbacks >= 5, fallbacks
 
     def test_every_center_off_the_image(self):
         rng = np.random.default_rng(345)
@@ -619,7 +666,7 @@ class TestAssignPixels:
         cfeats = rng.normal(size=(3, 3))
         assert _uncovered(12, 10, positions, 2.0).all()
         np.testing.assert_array_equal(
-            assign_pixels(feat, positions, cfeats, 2.0, 1.0),
+            _assign_one(feat, positions, cfeats, 2.0, 1.0),
             _assign_pixels_loop(feat, positions, cfeats, 2.0, 1.0),
         )
 
@@ -627,10 +674,10 @@ class TestAssignPixels:
         rng = np.random.default_rng(348)
         feat = np.round(rng.normal(size=(20, 20, 3)), 1)
         feat[3, 4, 1] = np.nan  # every distance of this pixel is NaN
-        positions, cfeats, s_grid = seed_centers(np.nan_to_num(feat), 16)
+        positions, cfeats, s_grid = _seed_one(np.nan_to_num(feat), 16)
         cfeats[5, 0] = np.nan  # so is every distance to this center
         np.testing.assert_array_equal(
-            assign_pixels(feat, positions, cfeats, s_grid, 2.0),
+            _assign_one(feat, positions, cfeats, s_grid, 2.0),
             _assign_pixels_loop(feat, positions, cfeats, s_grid, 2.0),
         )
 
@@ -642,13 +689,13 @@ class TestAssignPixels:
             for trial in range(8):
                 h, w = int(rng.integers(6, 41)), int(rng.integers(6, 41))
                 feat = rng.normal(scale=3.0, size=(h, w, c))
-                positions, cfeats, s_grid = seed_centers(feat, int(rng.integers(1, h * w // 8 + 2)))
+                positions, cfeats, s_grid = _seed_one(feat, int(rng.integers(1, h * w // 8 + 2)))
                 positions = positions + rng.normal(scale=1.0, size=positions.shape)
                 cfeats = cfeats + rng.normal(scale=0.3, size=cfeats.shape)
                 want = _assign_pixels_loop(
                     feat, positions, cfeats, s_grid, 2.0, window_sum=_sequential_channel_sum
                 )
-                got = assign_pixels(feat, positions, cfeats, s_grid, 2.0)
+                got = _assign_one(feat, positions, cfeats, s_grid, 2.0)
                 np.testing.assert_array_equal(got, want, err_msg=f"c {c} trial {trial}")
 
     def test_channel_order_decides_an_exact_tie(self):
@@ -662,7 +709,7 @@ class TestAssignPixels:
             cfeats[:, 0] = 1.5
             cfeats[0, 4:8] = 2.0 ** -26
             positions = np.array([[1.0, 1.0], [1.0, 1.0]])
-            got = assign_pixels(feat, positions, cfeats, 1.0, 1.0)
+            got = _assign_one(feat, positions, cfeats, 1.0, 1.0)
             want = _assign_pixels_loop(
                 feat, positions, cfeats, 1.0, 1.0, window_sum=_sequential_channel_sum
             )
@@ -751,8 +798,8 @@ class TestSlicSegment:
         rng = np.random.default_rng(314)
         for trial in range(5):
             feat = rng.normal(size=(16, 16, 3))
-            positions, cfeats, s_grid = seed_centers(feat, 4)
-            got = assign_pixels(feat, positions, cfeats, s_grid, m=10.0)
+            positions, cfeats, s_grid = _seed_one(feat, 4)
+            got = _assign_one(feat, positions, cfeats, s_grid, m=10.0)
 
             h, w, _ = feat.shape
             reach = 2.0 * s_grid
@@ -857,6 +904,79 @@ class TestSlicSegment:
     def test_accepts_tensor_features(self):
         sp = slic_segment(Tensor(np.zeros((16, 16, 1))), SlicParams(k_desired=4))
         assert sp.n_segments == 4
+
+
+class TestSlicSegmentBatch:
+    """Each tile of a stack gets the oracle's labels, motion and convergence."""
+
+    @staticmethod
+    def _check_against_oracle(stack, params, tag):
+        maps = slic_segment_batch(stack, params)
+        assert len(maps) == len(stack)
+        for i, sp in enumerate(maps):
+            labels, motion, converged = _slic_add_at(stack[i].copy(), params)
+            np.testing.assert_array_equal(sp.labels, labels, err_msg=f"{tag} tile {i}")
+            assert sp.center_motion == motion, f"{tag} tile {i}"
+            assert sp.converged == converged, f"{tag} tile {i}"
+        return maps
+
+    def test_seeded_stacks_of_one_to_seven_channels(self, monkeypatch):
+        rng = np.random.default_rng(351)
+        for c in range(1, 8):
+            for trial in range(3):
+                t, h, w = int(rng.integers(1, 6)), int(rng.integers(6, 33)), int(rng.integers(6, 33))
+                feat = rng.normal(size=(t, h, w, c))
+                if trial % 2:
+                    feat = np.round(feat, 1)
+                params = SlicParams(
+                    k_desired=int(rng.integers(1, h * w // 8 + 2)),
+                    m=float(rng.choice([0.5, 2.0, 10.0])),
+                    max_iters=int(rng.integers(1, 11)),
+                )
+                monkeypatch.setattr(superpixel, "SWEEP_BLOCK_CELLS", int(rng.choice([300, 1 << 15])))
+                self._check_against_oracle(feat, params, f"c {c} trial {trial}")
+
+    def test_early_and_never_converging_tiles_share_a_stack(self):
+        # constant tiles settle after two sweeps and stop; synthetic tiles
+        # keep sweeping around them to max_iters
+        synth = _synth_tiles(seeds=(2,))
+        flat = np.zeros((64, 64, 6))
+        stack = np.stack([synth[0], flat, synth[1], flat + 0.5])
+        maps = self._check_against_oracle(stack, SlicParams(k_desired=64, m=2.0), "mixed")
+        assert [sp.converged for sp in maps] == [False, True, False, True]
+        assert [len(sp.center_motion) for sp in maps] == [10, 2, 10, 2]
+
+    def test_chunks_of_a_stack_match_the_whole_stack(self):
+        # seven tiles in chunks of three: the last chunk holds one tile
+        tiles = np.stack(_synth_tiles(seeds=(0, 1))[:7])
+        params = SlicParams(k_desired=64, m=2.0)
+        whole = slic_segment_batch(tiles, params)
+        chunked = [sp for lo in range(0, 7, 3) for sp in slic_segment_batch(tiles[lo : lo + 3], params)]
+        for i, (a, b) in enumerate(zip(whole, chunked)):
+            np.testing.assert_array_equal(a.labels, b.labels, err_msg=f"tile {i}")
+            assert (a.center_motion, a.converged) == (b.center_motion, b.converged)
+            np.testing.assert_array_equal(a.labels, slic_segment(tiles[i], params).labels)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match=r"\[t, h, w, c\]"):
+            slic_segment_batch(np.zeros((8, 8, 1)), SlicParams(k_desired=4))
+        with pytest.raises(ValueError):
+            slic_segment_batch(np.zeros((0, 8, 8, 1)), SlicParams(k_desired=4))
+        with pytest.raises(ValueError):
+            slic_segment_batch(np.zeros((2, 8, 8, 1)), SlicParams(k_desired=65))
+
+
+class TestStackMaps:
+    def test_offsets_labels_tile_by_tile(self):
+        rng = np.random.default_rng(354)
+        maps = [_map_of(_dense_random_labels(rng, 4, 5, n)) for n in (3, 1, 4)]
+        tall = stack_maps(maps)
+        want = SuperpixelMap.from_labels(
+            np.vstack([maps[0].labels, maps[1].labels + 3, maps[2].labels + 4])
+        )
+        np.testing.assert_array_equal(tall.labels, want.labels)
+        np.testing.assert_array_equal(tall.counts, want.counts)
+        assert tall.n_segments == want.n_segments == 8
 
 
 class TestSegmentMeans:

@@ -14,6 +14,7 @@ from dcn.data import (
     synth_scene,
     tile,
 )
+from dcn import model as model_module
 from dcn.errors import DataError, NumericError
 from dcn.model import DcnConfig, build, forward, load_checkpoint
 from dcn.superpixel import SlicParams, SuperpixelMap, slic_segment, zscore_features
@@ -414,6 +415,24 @@ class TestTrainLoop:
             params = {n: t.data.tobytes() for n, t in model.parameters().items()}
             runs.append((history.loss, history.val_iou, params))
         assert runs[0] == runs[1]
+
+    def test_validation_iou_equals_per_tile_forward(self, monkeypatch):
+        # validation runs in chunks of two over five tiles; each epoch's
+        # score must be the per-tile forward IoU of the model after that
+        # epoch, which a run stopped there leaves behind
+        monkeypatch.setattr(model_module, "INFER_CHUNK_BYTES", 2 * 9 * 8 * 64 * 64 * 4)
+        records = harness_records(7)
+        train_tiles, val_tiles = records[:2], records[2:]
+        cfg = harness_config()
+        config = TrainConfig(batch_size=2, epochs=3, seed=4)
+        history, _ = train(build(cfg), train_tiles, val_tiles, config)
+        want = []
+        for epochs in (1, 2, 3):
+            model = build(cfg)
+            train(model, train_tiles, [], replace(config, epochs=epochs))
+            want.append(pixel_iou(model, val_tiles))
+        assert history.val_iou == want
+        assert len(set(want)) > 1, want
 
     def test_epoch_cadence_checkpointing(self, tmp_path):
         records = harness_records(2)
