@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericError
 
 DEFAULT_DTYPE = np.float32
-
-Number = Union[int, float]
 
 _tape_stacks = threading.local()
 
@@ -104,43 +102,6 @@ class Tensor:
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{req})"
-
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 @dataclass(frozen=True)
@@ -366,10 +327,6 @@ def div(a, b) -> Tensor:
     return _apply("div", (a, b), out, bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _apply("neg", (a,), -a.data, lambda g: (-g,))
-
-
 def square(a: Tensor) -> Tensor:
     ad = a.data
 
@@ -387,19 +344,6 @@ def sqrt(a: Tensor) -> Tensor:
         return (g * (0.5 / out),)
 
     return _apply("sqrt", (a,), out, bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    return _apply("exp", (a,), out, lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(ad)
-    return _apply("log", (a,), out, lambda g: (g / ad,))
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:

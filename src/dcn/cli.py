@@ -173,6 +173,18 @@ def _non_negative(value, flag):
         raise UsageError(f"{flag} must be >= 0, got {value}")
 
 
+def _slic_params(args, window):
+    """SlicParams from --slic-k (default: one superpixel per 64 pixels) and --slic-m."""
+    from .superpixel import SlicParams
+
+    pixels = window * window
+    k = args.slic_k if args.slic_k is not None else pixels // 64
+    _positive(k, "--slic-k")
+    _at_most_pixels(k, "--slic-k", pixels)
+    _positive_real(args.slic_m, "--slic-m")
+    return SlicParams(k_desired=k, m=args.slic_m)
+
+
 def cmd_synth(args):
     from .data import Band, RasterStack, synth_scene, write_bmsr
 
@@ -236,7 +248,6 @@ def cmd_train(args):
 
     from .data import write_atomic
     from .model import DcnConfig, build, infer_chunk, save_checkpoint
-    from .superpixel import SlicParams
     from .train import TrainConfig, report_json, train
 
     channels = _parse_channels(args.channels)
@@ -249,10 +260,7 @@ def cmd_train(args):
     _non_negative(args.seed, "--seed")
     if not 0.0 <= args.dropout < 1.0:
         raise UsageError(f"--dropout must lie in [0, 1), got {args.dropout}")
-    slic_k = args.slic_k if args.slic_k is not None else (args.window * args.window) // 64
-    _positive(slic_k, "--slic-k")
-    _at_most_pixels(slic_k, "--slic-k", args.window * args.window)
-    _positive_real(args.slic_m, "--slic-m")
+    params = _slic_params(args, args.window)
 
     config = DcnConfig(
         block_channels=channels,
@@ -263,7 +271,6 @@ def cmd_train(args):
     )
     if not os.path.isdir(args.data):
         raise DataError(f"--data {args.data} is not a directory")
-    params = SlicParams(k_desired=slic_k, m=args.slic_m)
     chunk = infer_chunk(config)
     records = []
     for name in sorted(os.listdir(args.data)):
@@ -312,21 +319,16 @@ def cmd_predict(args):
 
     from .data import Band, RasterStack, stitch, write_bmsr
     from .model import infer_chunk, infer_rasters, load_checkpoint
-    from .superpixel import SlicParams
     from .train import confusion, error_map, iou, overall_accuracy, write_ppm
 
     if args.errmap and not args.truth:
         raise UsageError("--errmap requires --truth to compare against")
     model = load_checkpoint(args.model)
     window = model.config.tile_size
-    slic_k = args.slic_k if args.slic_k is not None else (window * window) // 64
-    _positive(slic_k, "--slic-k")
-    _at_most_pixels(slic_k, "--slic-k", window * window)
-    _positive_real(args.slic_m, "--slic-m")
+    params = _slic_params(args, window)
 
     bands = model.config.input_bands
     tiled = _scene_tiles(args.input, "--input", bands, window, window)
-    params = SlicParams(k_desired=slic_k, m=args.slic_m)
     out_tiles = []
     for records, data, spmaps in _segmented(tiled.tiles, bands, params, infer_chunk(model.config)):
         for record, raster in zip(records, infer_rasters(model, data, spmaps)):

@@ -231,6 +231,39 @@ def write_atomic(path: str, blob: bytes) -> None:
         raise
 
 
+class BlobReader:
+    """Bounds-checked cursor over the bytes of a file.
+
+    ``what`` names the file in every error ("raster file x.bmsr"). A
+    length that runs past the end of the blob, or is negative, and text
+    that does not decode are data errors, never numpy or codec errors.
+    """
+
+    def __init__(self, blob: bytes, what: str):
+        self.blob = blob
+        self.pos = 0
+        self.what = what
+
+    def take(self, n: int) -> bytes:
+        if n < 0 or self.pos + n > len(self.blob):
+            raise DataError(f"truncated {self.what}")
+        out = self.blob[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def u32(self) -> int:
+        return self.unpack("<I")[0]
+
+    def text(self, n: int, field: str, encoding: str = "utf-8") -> str:
+        try:
+            return self.take(n).decode(encoding)
+        except UnicodeDecodeError as err:
+            raise DataError(f"unreadable {field} in {self.what}") from err
+
+
 def write_bmsr(stack: RasterStack, path: str) -> None:
     """Serialize a stack to ``path`` atomically in the BMSR layout."""
     if max(stack.width, stack.height, len(stack.bands)) > 0xFFFFFFFF:
@@ -261,16 +294,10 @@ def read_bmsr(path: str) -> RasterStack:
     except OSError as err:
         raise DataError(f"cannot read raster {path}: {err}") from err
 
-    def take(pos: int, n: int) -> tuple[bytes, int]:
-        if pos + n > len(blob):
-            raise DataError(f"truncated raster file {path}")
-        return blob[pos : pos + n], pos + n
-
-    head, pos = take(0, 4)
-    if head != BMSR_MAGIC:
+    r = BlobReader(blob, f"raster file {path}")
+    if r.take(4) != BMSR_MAGIC:
         raise DataError(f"bad magic in {path}: not a BMSR file")
-    head, pos = take(pos, struct.calcsize("<IIIIBf"))
-    version, width, height, n_bands, dtype_code, gsd = struct.unpack("<IIIIBf", head)
+    version, width, height, n_bands, dtype_code, gsd = r.unpack("<IIIIBf")
     if version != BMSR_VERSION:
         raise DataError(f"unsupported BMSR version {version} in {path}")
     if dtype_code != 0:
@@ -282,21 +309,16 @@ def read_bmsr(path: str) -> RasterStack:
 
     bands = []
     for _ in range(n_bands):
-        raw, pos = take(pos, _ROLE_FIELD)
-        try:
-            role = raw.rstrip(b"\x00").decode("ascii")
-        except UnicodeDecodeError as err:
-            raise DataError(f"unreadable role tag in {path}") from err
+        role = r.text(_ROLE_FIELD, "role tag", "ascii").rstrip("\x00")
         if role not in ROLES:
             raise DataError(f"unknown role tag {role!r} in {path}")
-        payload, pos = take(pos, 4 * width * height)
-        data = np.frombuffer(payload, dtype="<f4").reshape(height, width)
+        data = np.frombuffer(r.take(4 * width * height), dtype="<f4").reshape(height, width)
         try:
             bands.append(Band(role, data))
         except ValueError as err:
             raise DataError(f"invalid raster in {path}: {err}") from err
-    if pos != len(blob):
-        raise DataError(f"{len(blob) - pos} trailing bytes after last band in {path}")
+    if r.pos != len(blob):
+        raise DataError(f"{len(blob) - r.pos} trailing bytes after last band in {path}")
     try:
         return RasterStack(width=width, height=height, gsd=gsd, bands=tuple(bands))
     except ValueError as err:

@@ -13,6 +13,7 @@ along with the named parameter payload, so loading needs no side input.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .autodiff import Tensor, reshape
 from .competition import Codebook, class_distances, winner
-from .data import write_atomic
+from .data import BlobReader, write_atomic
 from .errors import DataError
 from .layers import (
     BatchNormLayer,
@@ -421,26 +422,6 @@ def save_checkpoint(model: DcnModel, path: str, step: int | None = None) -> None
     write_atomic(path, b"".join(chunks))
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise DataError(f"truncated checkpoint: {self.path}")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-
 def load_checkpoint(path: str) -> DcnModel:
     """Rebuild a model from a DCNW file, bit-exact in every parameter."""
     try:
@@ -448,7 +429,7 @@ def load_checkpoint(path: str) -> DcnModel:
             blob = fh.read()
     except OSError as err:
         raise DataError(f"cannot read checkpoint {path}: {err}") from err
-    r = _Reader(blob, path)
+    r = BlobReader(blob, f"checkpoint {path}")
     if r.take(4) != CHECKPOINT_MAGIC:
         raise DataError(f"bad magic in checkpoint {path}: not a DCNW file")
     version = r.u32()
@@ -457,45 +438,37 @@ def load_checkpoint(path: str) -> DcnModel:
             f"unsupported checkpoint version {version} in {path} "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    cfg_text = r.take(r.u32()).decode("utf-8")
-    config = _config_from_text(cfg_text, path)
-    step = r.u64()
+    config = _config_from_text(r.text(r.u32(), "config"), path)
+    (step,) = r.unpack("<Q")
 
     tensors: dict[str, np.ndarray] = {}
     while r.pos < len(blob):
-        name = r.take(r.u32()).decode("utf-8")
+        name = r.text(r.u32(), "tensor name")
         rank = r.u32()
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(dims)
+        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        data = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
         if name in tensors:
             raise DataError(f"duplicate tensor {name!r} in checkpoint {path}")
         tensors[name] = data.copy()
 
     model = build(config)
-    expected_params = model.parameters()
-    expected_buffers = model.buffers()
-    missing = (set(expected_params) | set(expected_buffers)) - set(tensors)
+    params = model.parameters()
+    buffers = model.buffers()
+    missing = (set(params) | set(buffers)) - set(tensors)
     if missing:
         raise DataError(f"checkpoint {path} is missing tensors: {sorted(missing)}")
     for name, data in tensors.items():
-        if name in expected_params:
-            if expected_params[name].shape != data.shape:
-                raise DataError(
-                    f"checkpoint tensor {name!r} has shape {data.shape}, "
-                    f"config implies {expected_params[name].shape}"
-                )
-            model.set_parameter(
-                name, Tensor(data, requires_grad=expected_params[name].requires_grad)
-            )
-        elif name in expected_buffers:
-            if expected_buffers[name].shape != data.shape:
-                raise DataError(
-                    f"checkpoint tensor {name!r} has shape {data.shape}, "
-                    f"config implies {expected_buffers[name].shape}"
-                )
-            model.set_buffer(name, Tensor(data))
-        else:
+        expected = params.get(name, buffers.get(name))
+        if expected is None:
             raise DataError(f"unexpected tensor {name!r} in checkpoint {path}")
+        if expected.shape != data.shape:
+            raise DataError(
+                f"checkpoint tensor {name!r} has shape {data.shape}, "
+                f"config implies {expected.shape}"
+            )
+        if name in params:
+            model.set_parameter(name, Tensor(data, requires_grad=expected.requires_grad))
+        else:
+            model.set_buffer(name, Tensor(data))
     model.global_step = step
     return model

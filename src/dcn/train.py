@@ -51,31 +51,26 @@ _PALETTE = np.array(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter.
+
+    The hyperparameters are the ``ADAM_*`` constants.
+    """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    lr: float = ADAM_LR
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPS
 
     def __post_init__(self) -> None:
         if self.t < 0:
             raise ValueError("step counter must be non-negative")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError("betas must lie in [0, 1)")
-        if self.lr <= 0 or self.epsilon <= 0:
-            raise ValueError("lr and epsilon must be positive")
         if set(self.m) != set(self.v):
             raise ValueError("m and v must cover the same parameters")
 
     @classmethod
-    def create(cls, params: dict[str, Tensor], lr: float = ADAM_LR) -> "AdamState":
+    def create(cls, params: dict[str, Tensor]) -> "AdamState":
         m = {n: np.zeros_like(p.data) for n, p in params.items()}
         v = {n: np.zeros_like(p.data) for n, p in params.items()}
-        return cls(m=m, v=v, lr=lr)
+        return cls(m=m, v=v)
 
 
 def adam_step(
@@ -89,8 +84,8 @@ def adam_step(
     if set(params) != set(state.m):
         raise ValueError("optimizer state does not cover these parameters")
     state.t += 1
-    correct1 = 1.0 - state.beta1**state.t
-    correct2 = 1.0 - state.beta2**state.t
+    correct1 = 1.0 - ADAM_BETA1**state.t
+    correct2 = 1.0 - ADAM_BETA2**state.t
     updated = {}
     for name, param in params.items():
         grad = grads.get(name)
@@ -105,11 +100,11 @@ def adam_step(
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter {name}")
             g = g.astype(param.data.dtype, copy=False)
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        step = state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
+        step = ADAM_LR * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
         data = param.data - step.astype(param.data.dtype, copy=False)
         if name in _CLAMPED:
             data = np.clip(data, 0.0, 1.0)
@@ -119,22 +114,22 @@ def adam_step(
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Batch size, epochs and shuffling seed of one run.
+
+    With ``checkpoint_path`` set, the model is saved there after every
+    epoch, and before a numeric failure aborts the run.
+    """
+
     batch_size: int = 64
     epochs: int = 250
     seed: int = 0
-    checkpoint_every: int = 0
     checkpoint_path: str | None = None
-    patience: int | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be non-negative")
-        if self.patience is not None and self.patience < 1:
-            raise ValueError("patience must be at least 1 when set")
 
 
 @dataclass
@@ -321,7 +316,6 @@ def train(
     state = AdamState.create(model.parameters())
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
-    best_iou, stale = -1.0, 0
     started = time.perf_counter()
 
     for epoch in range(config.epochs):
@@ -331,14 +325,12 @@ def train(
             batch = order[start : start + config.batch_size]
             try:
                 loss, grads = _batch_gradients(model, prepared, batch)
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}")
             except NumericError:
                 if config.checkpoint_path:
                     save_checkpoint(model, config.checkpoint_path, step=state.t)
                 raise
-            if not np.isfinite(loss):
-                if config.checkpoint_path:
-                    save_checkpoint(model, config.checkpoint_path, step=state.t)
-                raise NumericError(f"non-finite loss at epoch {epoch}")
             batch_losses.append((loss, len(batch)))
             updated, state = adam_step(model.parameters(), grads, state)
             for name, tensor in updated.items():
@@ -350,22 +342,11 @@ def train(
         history.loss.append(sum(loss * count for loss, count in batch_losses) / total)
         score = _validation_iou(model, prepared_val) if prepared_val else None
         history.val_iou.append(score)
-
-        if config.checkpoint_path and config.checkpoint_every:
-            if (epoch + 1) % config.checkpoint_every == 0:
-                save_checkpoint(model, config.checkpoint_path, step=state.t)
-
-        if config.patience is not None and score is not None:
-            if score > best_iou:
-                best_iou, stale = score, 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
+        if config.checkpoint_path:
+            save_checkpoint(model, config.checkpoint_path, step=state.t)
 
     elapsed = time.perf_counter() - started
-    epochs_run = len(history.epoch)
-    report = computational_cost(epochs_run, elapsed / epochs_run)
+    report = computational_cost(config.epochs, elapsed / config.epochs)
     return history, report
 
 

@@ -350,6 +350,42 @@ class TestPredict:
         assert code == 2
         assert "nope.dcnw" in capsys.readouterr().err
 
+    @staticmethod
+    def _corrupt_first_tensor(src, dst, name_byte=None, dims=None):
+        """Copy a checkpoint, replacing its first tensor's name byte or dims."""
+        blob = bytearray(open(src, "rb").read())
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        pos = 12 + cfg_len + 8  # magic, version, config length, config, step
+        (name_len,) = struct.unpack_from("<I", blob, pos)
+        if name_byte is not None:
+            blob[pos + 4] = name_byte
+        rank_at = pos + 4 + name_len
+        if dims is not None:
+            (rank,) = struct.unpack_from("<I", blob, rank_at)
+            header = struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+            blob[rank_at : rank_at + 4 + 4 * rank] = header
+        open(dst, "wb").write(bytes(blob))
+        return dst
+
+    @pytest.mark.parametrize(
+        "corruption, what",
+        [
+            ({"dims": (2**32 - 1, 2**32 - 1)}, "truncated"),
+            ({"name_byte": 0xFF}, "unreadable tensor name"),
+        ],
+        ids=["dims-overflow-int64", "non-utf8-name"],
+    )
+    def test_corrupt_checkpoint_is_a_data_error(
+        self, workspace, tmp_path, capsys, corruption, what
+    ):
+        bad = self._corrupt_first_tensor(
+            workspace["model"], str(tmp_path / "bad.dcnw"), **corruption
+        )
+        out = str(tmp_path / "p.bmsr")
+        code = cli.run(["predict", "--model", bad, "--input", _scene(workspace, 0), "--out", out])
+        _assert_data_error_names(capsys, code, bad, what)
+        assert not os.path.exists(out)
+
 
 class TestEval:
     def test_self_comparison_is_perfect(self, workspace, tmp_path, capsys):

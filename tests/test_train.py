@@ -197,17 +197,12 @@ class TestTrainConfig:
     def test_defaults_follow_training_protocol(self):
         cfg = TrainConfig()
         assert cfg.batch_size == 64 and cfg.epochs == 250
-        assert cfg.patience is None
 
     def test_bounds(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(patience=0)
-        with pytest.raises(ValueError):
-            TrainConfig(checkpoint_every=-1)
 
 
 class TestConfusion:
@@ -443,24 +438,11 @@ class TestTrainLoop:
             model,
             records,
             [],
-            TrainConfig(
-                batch_size=2, epochs=4, seed=0, checkpoint_every=2, checkpoint_path=path
-            ),
+            TrainConfig(batch_size=2, epochs=4, seed=0, checkpoint_path=path),
         )
         loaded = load_checkpoint(path)
         assert loaded.global_step == 4
         assert loaded.config == cfg
-
-    def test_patience_stops_on_plateau(self):
-        records = harness_records(2)
-        model = build(harness_config(block_channels=(2, 2, 2, 2, 2), embedding_dim=2))
-        history, _ = train(
-            model,
-            records,
-            records,
-            TrainConfig(batch_size=2, epochs=25, seed=0, patience=1),
-        )
-        assert 2 <= len(history.epoch) < 25
 
 
 @pytest.fixture(scope="module")
