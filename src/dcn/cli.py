@@ -68,51 +68,46 @@ def _scene_spec(size, seed):
     )
 
 
-def _prepare_scene(stack, bands):
-    """Derive NDVI, drop bands the pipeline does not consume, rescale."""
-    from .data import RasterStack, compute_ndvi, normalize
+def _with_ndvi(stack):
+    """The stack with NDVI derived when it lacks NDVI but has NIR and RED."""
+    from .data import compute_ndvi
 
-    if "NDVI" in bands and not stack.has("NDVI"):
-        if not (stack.has("NIR") and stack.has("RED")):
-            raise DataError("scene lacks the NIR/RED bands needed to derive NDVI")
-        stack = compute_ndvi(stack)
-    keep = set(bands) | {"MASK"}
-    subset = RasterStack(
-        width=stack.width,
-        height=stack.height,
-        gsd=stack.gsd,
-        bands=tuple(band for band in stack.bands if band.role in keep),
-    )
-    return normalize(subset)[0]
-
-
-def _trainable(stack, bands):
-    if not stack.has("MASK"):
-        return False
-    for role in bands:
-        if stack.has(role):
-            continue
-        if role == "NDVI" and stack.has("NIR") and stack.has("RED"):
-            continue
-        return False
-    return True
+    if not stack.has("NDVI") and stack.has("NIR") and stack.has("RED"):
+        return compute_ndvi(stack)
+    return stack
 
 
 def _scene_tiles(path, flag, bands, window, stride, need_mask=False):
     """Read the scene at ``path``, prepare ``bands`` and cut it into tiles.
 
-    Returns None, untiled, when ``need_mask`` and the scene lacks MASK
-    or a band ``bands`` needs. Errors from preparing or tiling name
-    ``flag`` and the file. Tiles copy their windows, so the full-size
-    raw and prepared scenes are freed before the caller's tile loop.
+    NDVI is derived from NIR and RED when the scene lacks it. A scene
+    still missing a band of ``bands``, or MASK when ``need_mask``, returns
+    None when ``need_mask`` (training skips it) and is otherwise a
+    DataError naming ``flag``, the file and the missing roles. The kept
+    bands are rescaled; errors from tiling name ``flag`` and the file.
+    Tiles copy their windows, so the full-size raw and prepared scenes
+    are freed before the caller's tile loop.
     """
-    from .data import read_bmsr, tile
+    from .data import RasterStack, normalize, read_bmsr, tile
 
-    scene = read_bmsr(path)
-    if need_mask and not _trainable(scene, bands):
-        return None
+    scene = _with_ndvi(read_bmsr(path))
+    keep = (*bands, "MASK")
+    missing = [role for role in (keep if need_mask else bands) if not scene.has(role)]
+    if missing:
+        if need_mask:
+            return None
+        raise DataError(
+            f"{flag} {path} has no {'/'.join(missing)} band "
+            f"(present: {scene.roles}; NDVI needs NIR and RED)"
+        )
+    subset = RasterStack(
+        width=scene.width,
+        height=scene.height,
+        gsd=scene.gsd,
+        bands=tuple(band for band in scene.bands if band.role in keep),
+    )
     try:
-        return tile(_prepare_scene(scene, bands), window=window, stride=stride)
+        return tile(normalize(subset)[0], window=window, stride=stride)
     except DataError as err:
         raise DataError(f"{flag} {path}: {err}") from err
 
@@ -126,12 +121,6 @@ def _mask_band(path, flag):
     if not stack.has("MASK"):
         raise DataError(f"{flag} {path} has no MASK band (present: {stack.roles})")
     return stack.band("MASK").astype(np.int64)
-
-
-def _segment(tile_data, k, m):
-    from .superpixel import SlicParams, slic_segment, zscore_features
-
-    return slic_segment(zscore_features(tile_data), SlicParams(k_desired=k, m=m))
 
 
 def _segmented(records, bands, params, chunk):
@@ -210,18 +199,18 @@ def cmd_synth(args):
 def cmd_slic(args):
     import numpy as np
 
-    from .data import Band, RasterStack, compute_ndvi, read_bmsr, write_bmsr
+    from .data import Band, RasterStack, read_bmsr, write_bmsr
+    from .superpixel import SlicParams, slic_segment, zscore_features
 
     _positive(args.k, "--k")
     _positive_real(args.compactness, "--compactness")
-    stack = read_bmsr(args.input)
+    stack = _with_ndvi(read_bmsr(args.input))
     _at_most_pixels(args.k, "--k", stack.width * stack.height)
-    if stack.has("NIR") and stack.has("RED") and not stack.has("NDVI"):
-        stack = compute_ndvi(stack)
     roles = tuple(r for r in stack.roles if r not in ("MASK", "LABELS"))
     if not roles:
         raise DataError(f"--input {args.input} has no feature bands")
-    spmap = _segment(stack.select(roles), args.k, args.compactness)
+    features = zscore_features(stack.select(roles))
+    spmap = slic_segment(features, SlicParams(k_desired=args.k, m=args.compactness))
     labels = RasterStack(
         width=stack.width,
         height=stack.height,

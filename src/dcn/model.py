@@ -185,37 +185,54 @@ def _conv_layer(rng, kh, kw, cin, cout, dtype) -> Conv2dLayer:
     )
 
 
+def _conv_kernels(config: DcnConfig) -> list[tuple[str, tuple[int, int, int, int]]]:
+    """Name and [kh, kw, c_in, c_out] kernel shape of every conv, in build order."""
+    bc = config.block_channels
+    dec_out = (bc[3], bc[2], bc[1], bc[0], bc[0])
+    kernels = []
+    for i, (cin, c) in enumerate(zip((config.input_channels, *bc[:4]), bc)):
+        kernels += [(f"enc{i}.conv1", (3, 3, cin, c)), (f"enc{i}.conv2", (3, 3, c, c))]
+    for i, (cin, c) in enumerate(zip((bc[4], *dec_out[:4]), dec_out)):
+        kernels.append((f"dec{i}.conv", (3, 3, cin, c)))
+    kernels.append(("head", (1, 1, dec_out[-1], config.embedding_dim)))
+    return kernels
+
+
+def _tensor_shapes(config: DcnConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter and buffer of ``build(config)``, allocating none."""
+    shapes = {}
+    for name, kernel in _conv_kernels(config):
+        shapes[f"{name}.kernel"] = kernel
+        shapes[f"{name}.bias"] = kernel[3:]
+        if name != "head":
+            norm = name.replace("conv", "bn")  # enc0.conv1 -> enc0.bn1
+            for slot in ("gamma", "beta", "running_mean", "running_var"):
+                shapes[f"{norm}.{slot}"] = kernel[3:]
+    shapes["codebook.prototypes"] = (2, config.embedding_dim)
+    return shapes
+
+
 def build(config: DcnConfig, dtype=np.float32) -> DcnModel:
     """Deterministically initialize a model from the config seed."""
     rng = np.random.default_rng(config.seed)
-    bc = config.block_channels
+    convs = {name: _conv_layer(rng, *kernel, dtype) for name, kernel in _conv_kernels(config)}
 
-    encoder = []
-    cin = config.input_channels
-    for c in bc:
-        encoder.append(
-            EncoderBlock(
-                conv1=_conv_layer(rng, 3, 3, cin, c, dtype),
-                bn1=BatchNormLayer.create(c, dtype=dtype),
-                conv2=_conv_layer(rng, 3, 3, c, c, dtype),
-                bn2=BatchNormLayer.create(c, dtype=dtype),
-            )
+    def norm(conv):
+        return BatchNormLayer.create(convs[conv].bias.shape[0], dtype=dtype)
+
+    encoder = [
+        EncoderBlock(
+            conv1=convs[f"enc{i}.conv1"],
+            bn1=norm(f"enc{i}.conv1"),
+            conv2=convs[f"enc{i}.conv2"],
+            bn2=norm(f"enc{i}.conv2"),
         )
-        cin = c
-
-    decoder = []
-    dec_out = [bc[3], bc[2], bc[1], bc[0], bc[0]]
-    cin = bc[4]
-    for c in dec_out:
-        decoder.append(
-            DecoderBlock(
-                conv=_conv_layer(rng, 3, 3, cin, c, dtype),
-                bn=BatchNormLayer.create(c, dtype=dtype),
-            )
-        )
-        cin = c
-
-    head = _conv_layer(rng, 1, 1, dec_out[-1], config.embedding_dim, dtype)
+        for i in range(len(config.block_channels))
+    ]
+    decoder = [
+        DecoderBlock(conv=convs[f"dec{i}.conv"], bn=norm(f"dec{i}.conv"))
+        for i in range(len(config.block_channels))
+    ]
     codebook = Codebook.create(config.embedding_dim, dtype=dtype)
     dropouts = {
         b: DropoutLayer(config.dropout_rate, seed=config.seed + 1000 + b)
@@ -226,7 +243,7 @@ def build(config: DcnConfig, dtype=np.float32) -> DcnModel:
         config=config,
         encoder=encoder,
         decoder=decoder,
-        head=head,
+        head=convs["head"],
         codebook=codebook,
         dropouts=dropouts,
     )
@@ -243,10 +260,10 @@ def embed_batch(model: DcnModel, batch: Tensor, phase: str) -> Tensor:
     cfg = model.config
     ts = cfg.tile_size
     if batch.data.ndim != 4 or batch.shape[1:3] != (ts, ts):
-        raise ValueError(f"batch must be [n, {ts}, {ts}, c], got {batch.shape}")
+        raise ValueError(f"tile batch must be [n, {ts}, {ts}, c], got {batch.shape}")
     if batch.shape[3] != cfg.input_channels:
         raise ValueError(
-            f"batch has {batch.shape[3]} channels, config expects {cfg.input_channels}"
+            f"tile batch has {batch.shape[3]} channels, config expects {cfg.input_channels}"
         )
     x = batch
     for i, blk in enumerate(model.encoder):
@@ -263,18 +280,11 @@ def embed_batch(model: DcnModel, batch: Tensor, phase: str) -> Tensor:
 
 def embed(model: DcnModel, tile: Tensor, phase: str) -> Tensor:
     """Encoder-decoder-head pass for one tile: [t, t, c_in] -> [t, t, D]."""
-    cfg = model.config
-    if tile.data.ndim != 3 or tile.shape[:2] != (cfg.tile_size, cfg.tile_size):
-        raise ValueError(
-            f"tile must be [{cfg.tile_size}, {cfg.tile_size}, c], got {tile.shape}"
-        )
-    if tile.shape[2] != cfg.input_channels:
-        raise ValueError(
-            f"tile has {tile.shape[2]} channels, config expects {cfg.input_channels}"
-        )
-    h, w, _ = tile.shape
-    out = embed_batch(model, reshape(tile, (1, h, w, tile.shape[2])), phase)
-    return reshape(out, (h, w, cfg.embedding_dim))
+    if tile.data.ndim != 3:
+        raise ValueError(f"tile must be [t, t, c], got {tile.shape}")
+    h, w, c = tile.shape
+    out = embed_batch(model, reshape(tile, (1, h, w, c)), phase)
+    return reshape(out, (h, w, model.config.embedding_dim))
 
 
 def forward(
@@ -284,11 +294,8 @@ def forward(
 
     The one-tile case of ``forward_batch``.
     """
-    cfg = model.config
-    if tile.data.ndim != 3 or tile.shape[:2] != (cfg.tile_size, cfg.tile_size):
-        raise ValueError(
-            f"tile must be [{cfg.tile_size}, {cfg.tile_size}, c], got {tile.shape}"
-        )
+    if tile.data.ndim != 3:
+        raise ValueError(f"tile must be [t, t, c], got {tile.shape}")
     h, w, c = tile.shape
     distances, rasters = forward_batch(model, reshape(tile, (1, h, w, c)), [spmap], phase)
     return distances, rasters[0]
@@ -451,23 +458,23 @@ def load_checkpoint(path: str) -> DcnModel:
             raise DataError(f"duplicate tensor {name!r} in checkpoint {path}")
         tensors[name] = data.copy()
 
-    model = build(config)
-    params = model.parameters()
-    buffers = model.buffers()
-    missing = (set(params) | set(buffers)) - set(tensors)
+    shapes = _tensor_shapes(config)
+    missing = set(shapes) - set(tensors)
     if missing:
         raise DataError(f"checkpoint {path} is missing tensors: {sorted(missing)}")
     for name, data in tensors.items():
-        expected = params.get(name, buffers.get(name))
-        if expected is None:
+        if name not in shapes:
             raise DataError(f"unexpected tensor {name!r} in checkpoint {path}")
-        if expected.shape != data.shape:
+        if shapes[name] != data.shape:
             raise DataError(
-                f"checkpoint tensor {name!r} has shape {data.shape}, "
-                f"config implies {expected.shape}"
+                f"checkpoint {path}: tensor {name!r} has shape {data.shape}, "
+                f"config implies {shapes[name]}"
             )
+    model = build(config)
+    params = model.parameters()
+    for name, data in tensors.items():
         if name in params:
-            model.set_parameter(name, Tensor(data, requires_grad=expected.requires_grad))
+            model.set_parameter(name, Tensor(data, requires_grad=params[name].requires_grad))
         else:
             model.set_buffer(name, Tensor(data))
     model.global_step = step

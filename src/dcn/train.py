@@ -19,16 +19,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import GradTape, Tensor, backward, reshape
-from .competition import class_distances, competition_loss, softmin_probs
+from .autodiff import GradTape, Tensor, backward
+from .competition import competition_loss, softmin_probs
 from .data import TileRecord, write_atomic
 from .errors import DataError, NumericError
-from .model import DcnModel, embed_batch, infer_rasters, save_checkpoint
+from .model import DcnModel, forward_batch, infer_rasters, save_checkpoint
+from .superpixel import segment_means
 
-# unused here; perfbench/tracer.py patches this name in this module, so it
-# stays importable from it
-from .model import forward  # noqa: F401
-from .superpixel import segment_means, stack_maps, superpixel_mean
+# unused here; perfbench/tracer.py patches these names in this module, so
+# they stay importable from it
+from .autodiff import reshape  # noqa: F401
+from .competition import class_distances  # noqa: F401
+from .model import embed_batch, forward  # noqa: F401
+from .superpixel import superpixel_mean  # noqa: F401
 
 ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
@@ -79,27 +82,31 @@ def adam_step(
     """One bias-corrected Adam update; returns fresh parameter tensors.
 
     Gradients may be Tensors, arrays, or None (treated as zero). Any
-    non-finite gradient aborts with the offending parameter named.
+    non-finite gradient aborts with the offending parameter named,
+    before ``state`` changes.
     """
     if set(params) != set(state.m):
         raise ValueError("optimizer state does not cover these parameters")
+    checked = {}
+    for name, param in params.items():
+        grad = grads.get(name)
+        if grad is None:
+            checked[name] = np.zeros_like(param.data)
+            continue
+        g = grad.data if isinstance(grad, Tensor) else np.asarray(grad)
+        if g.shape != param.data.shape:
+            raise ValueError(
+                f"gradient for {name} has shape {g.shape}, parameter is {param.data.shape}"
+            )
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {name}")
+        checked[name] = g.astype(param.data.dtype, copy=False)
     state.t += 1
     correct1 = 1.0 - ADAM_BETA1**state.t
     correct2 = 1.0 - ADAM_BETA2**state.t
     updated = {}
     for name, param in params.items():
-        grad = grads.get(name)
-        if grad is None:
-            g = np.zeros_like(param.data)
-        else:
-            g = grad.data if isinstance(grad, Tensor) else np.asarray(grad)
-            if g.shape != param.data.shape:
-                raise ValueError(
-                    f"gradient for {name} has shape {g.shape}, parameter is {param.data.shape}"
-                )
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {name}")
-            g = g.astype(param.data.dtype, copy=False)
+        g = checked[name]
         m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         state.m[name] = m
@@ -253,19 +260,17 @@ def _prepared_tile(model: DcnModel, record: TileRecord, dtype):
 def _batch_gradients(model, prepared, indexes):
     """Mean tile loss and its per-parameter gradients for one batch.
 
-    The batch forwards as a single [n, t, t, c] pass so every norm
-    layer sees shared statistics, the same statistics its running
-    buffers learn for inference. Superpixel maps are stacked into one
-    tall segmentation (offsetting labels per tile), and tile losses
-    fold into one weighted objective: weighting each segment by
+    The batch runs ``forward_batch`` in the train phase as one
+    [n, t, t, c] pass, so every norm layer sees shared statistics, the
+    same statistics its running buffers learn for inference. Tile
+    losses fold into one weighted objective: weighting each segment by
     pixels / (n * tile pixels) makes the total exactly the mean of the
     per-tile weighted losses. Gradient reduction order is the fixed
     topological order of this one graph, so reruns are bit-identical.
     """
     n = len(indexes)
-    t = model.config.tile_size
     xb = Tensor(np.stack([prepared[i][0] for i in indexes]))
-    combined = stack_maps([prepared[i][1] for i in indexes])
+    maps = [prepared[i][1] for i in indexes]
     truth_all = np.concatenate([prepared[i][2] for i in indexes])
     weights_all = np.concatenate(
         [prepared[i][3] / (n * prepared[i][3].sum()) for i in indexes]
@@ -273,17 +278,10 @@ def _batch_gradients(model, prepared, indexes):
 
     params = model.parameters()
     with GradTape() as tape:
-        emb = embed_batch(model, xb, "train")
-        tall = reshape(emb, (n * t, t, model.config.embedding_dim))
-        pooled = superpixel_mean(combined, tall)
-        distances = class_distances(pooled, model.codebook)
+        distances, _ = forward_batch(model, xb, maps, "train")
         loss = competition_loss(softmin_probs(distances), truth_all, weights_all)
         grads = backward(tape, loss)
-    per_param = {}
-    for name, p in params.items():
-        g = tape.gradient(grads, p)
-        if g is not None:
-            per_param[name] = g.data
+    per_param = {name: tape.gradient(grads, p).data for name, p in params.items()}
     return float(loss.data), per_param
 
 
@@ -325,14 +323,12 @@ def train(
             batch = order[start : start + config.batch_size]
             try:
                 loss, grads = _batch_gradients(model, prepared, batch)
-                if not np.isfinite(loss):
-                    raise NumericError(f"non-finite loss at epoch {epoch}")
+                updated, state = adam_step(model.parameters(), grads, state)
             except NumericError:
                 if config.checkpoint_path:
                     save_checkpoint(model, config.checkpoint_path, step=state.t)
                 raise
             batch_losses.append((loss, len(batch)))
-            updated, state = adam_step(model.parameters(), grads, state)
             for name, tensor in updated.items():
                 model.set_parameter(name, tensor)
         model.global_step = state.t

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import dcn
 from dcn import cli
 from dcn import model as model_module
-from dcn.data import read_bmsr
+from dcn.data import read_bmsr, write_bmsr
 from dcn.errors import NumericError
 from dcn.model import load_checkpoint
 from dcn.train import confusion
@@ -61,6 +62,13 @@ def _patched_copy(src, dst, value):
     first = 4 + struct.calcsize("<IIIIBf") + 16  # magic, header, role tag
     blob[first : first + 4] = struct.pack("<f", value)
     open(dst, "wb").write(bytes(blob))
+    return dst
+
+
+def _without(src, dst, role):
+    """Copy a raster without its ``role`` band."""
+    stack = read_bmsr(src)
+    write_bmsr(replace(stack, bands=tuple(b for b in stack.bands if b.role != role)), dst)
     return dst
 
 
@@ -203,6 +211,19 @@ class TestTrain:
             outputs.append((open(out, "rb").read(), open(hist).read()))
         assert outputs[0] == outputs[1]
 
+    def test_scene_without_a_needed_band_is_skipped(self, workspace, tmp_path):
+        # a DSM-less scene among the workspace's scenes changes nothing
+        data = str(tmp_path / "data")
+        shutil.copytree(workspace["data"], data)
+        _without(_scene(workspace, 0), os.path.join(data, "scene_000_nodsm.bmsr"), "DSM")
+        model, hist = str(tmp_path / "model.dcnw"), str(tmp_path / "hist.json")
+        code = cli.run(["train", "--data", data, "--epochs", "2", "--batch", "2", "--seed", "3",
+                        "--window", "64", "--stride", "64", "--channels", "2,2,2,2,2",
+                        "--dim", "2", "--dropout", "0.0", "--out", model, "--history", hist])
+        assert code == 0
+        assert open(model, "rb").read() == open(workspace["model"], "rb").read()
+        assert open(hist).read() == open(workspace["hist"]).read()
+
     def test_flag_validation(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "m.dcnw")
         base = ["train", "--data", workspace["data"], "--out", out]
@@ -309,6 +330,14 @@ class TestPredict:
         out = str(tmp_path / "p.bmsr")
         code = cli.run(["predict", "--model", workspace["model"], "--input", bad, "--out", out])
         _assert_data_error_names(capsys, code, bad, "non-finite")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("role", ["DSM", "NIR"])
+    def test_missing_band_names_flag_and_file(self, workspace, tmp_path, capsys, role):
+        scene = _without(_scene(workspace, 0), str(tmp_path / "partial.bmsr"), role)
+        out = str(tmp_path / "p.bmsr")
+        code = cli.run(["predict", "--model", workspace["model"], "--input", scene, "--out", out])
+        _assert_data_error_names(capsys, code, f"--input {scene}", role)
         assert not os.path.exists(out)
 
     def test_mask_equals_per_tile_reference(self, tmp_path, monkeypatch):
@@ -563,6 +592,18 @@ class TestLazyPackage:
             "print(code, seen[:1])\n"
         )
         assert self._python(code).splitlines()[-1] == "0 ['1']"
+
+    def test_train_stays_the_function_after_cmd_train_imports_it(self, tmp_path):
+        # cmd_train's relative import loads the dcn.train submodule, which
+        # binds it on the package; ``dcn.train`` must stay the function
+        out = str(tmp_path / "m.dcnw")
+        code = (
+            "import dcn.cli, dcn\n"
+            f"code = dcn.cli.run(['train', '--data', {str(tmp_path)!r}, '--out', {out!r},"
+            " '--window', '33'])\n"
+            "print(code, getattr(dcn.train, '__module__', type(dcn.train).__name__))\n"
+        )
+        assert self._python(code).splitlines()[-1] == "1 dcn.train"
 
     def test_every_public_name_imports(self):
         code = (

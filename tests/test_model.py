@@ -174,6 +174,16 @@ class TestBuild:
         assert not set(model.parameters()) & set(model.buffers())
         assert "enc0.bn1.running_mean" in model.buffers()
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [tiny_config(), tiny_config(block_channels=(4, 8, 8, 4, 16), embedding_dim=3), DcnConfig()],
+        ids=["tiny", "uneven", "default"],
+    )
+    def test_derived_shapes_match_build(self, cfg):
+        model = build(cfg)
+        tensors = {**model.parameters(), **model.buffers()}
+        assert model_module._tensor_shapes(cfg) == {n: t.shape for n, t in tensors.items()}
+
 
 class TestForward:
     def setup_method(self):
@@ -469,6 +479,22 @@ class TestCheckpoint:
                         "--out", out])
         stderr = capsys.readouterr().err
         assert code == 2 and stderr.startswith("data error:") and key in stderr and path in stderr
+        assert not os.path.exists(out)
+
+    def test_widths_the_tensors_lack_are_rejected_before_allocating(self, tmp_path, capsys):
+        # a 99999-wide last block would need a 671 GiB kernel; the file's
+        # tensors must be checked against the config before anything is built
+        from dcn import cli
+
+        path = str(tmp_path / "model.dcnw")
+        save_checkpoint(self.model, path)
+        rewrite_config(path, b"block_channels=2,2,2,2,2\n", b"block_channels=2,2,2,2,99999\n")
+        out = str(tmp_path / "pred.bmsr")
+        code = cli.run(["predict", "--model", path, "--input", str(tmp_path / "scene.bmsr"),
+                        "--out", out])
+        stderr = capsys.readouterr().err
+        assert code == 2 and stderr.startswith("data error:"), stderr
+        assert path in stderr and "enc4.conv1.kernel" in stderr and "99999" in stderr
         assert not os.path.exists(out)
 
     def test_missing_reading_key_rejected(self, tmp_path):

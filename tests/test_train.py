@@ -1,3 +1,4 @@
+import importlib
 import json
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from dcn.data import (
 )
 from dcn import model as model_module
 from dcn.errors import DataError, NumericError
-from dcn.model import DcnConfig, build, forward, load_checkpoint
+from dcn.model import DcnConfig, build, forward, load_checkpoint, save_checkpoint
 from dcn.superpixel import SlicParams, SuperpixelMap, slic_segment, zscore_features
 from dcn.train import (
     AdamState,
@@ -161,6 +162,20 @@ class TestAdam:
         state = AdamState.create(params)
         with pytest.raises(NumericError, match="enc0.conv1.kernel"):
             adam_step(params, {"enc0.conv1.kernel": np.array([np.nan])}, state)
+
+    def test_non_finite_gradient_leaves_state_unchanged(self):
+        # the inf sits on the later parameter: the earlier one's moments
+        # and the step counter must not move before it is found
+        params = {**self._param([1.0], name="a"), **self._param([2.0], name="b")}
+        state = AdamState.create(params)
+        _, state = adam_step(params, {"a": np.ones(1), "b": np.ones(1)}, state)
+        m = {n: a.tobytes() for n, a in state.m.items()}
+        v = {n: a.tobytes() for n, a in state.v.items()}
+        with pytest.raises(NumericError, match="parameter b"):
+            adam_step(params, {"a": np.full(1, 3.0), "b": np.array([np.inf])}, state)
+        assert state.t == 1
+        assert {n: a.tobytes() for n, a in state.m.items()} == m
+        assert {n: a.tobytes() for n, a in state.v.items()} == v
 
     def test_codebook_rows_stay_in_unit_box(self):
         params = {
@@ -443,6 +458,30 @@ class TestTrainLoop:
         loaded = load_checkpoint(path)
         assert loaded.global_step == 4
         assert loaded.config == cfg
+
+
+    def test_non_finite_gradient_saves_the_pre_step_model(self, tmp_path, monkeypatch):
+        # backward lets an inf gradient through; the second step's Adam
+        # update refuses it, and the checkpoint holds the model after one step
+        train_module = importlib.import_module("dcn.train")
+        calls = []
+
+        def gradients(model, prepared, indexes):
+            grads = {n: np.zeros_like(p.data) for n, p in model.parameters().items()}
+            if calls:
+                grads["codebook.prototypes"][0, 0] = np.inf
+            calls.append(indexes)
+            return 0.5, grads
+
+        monkeypatch.setattr(train_module, "_batch_gradients", gradients)
+        cfg = harness_config(block_channels=(2, 2, 2, 2, 2), embedding_dim=2)
+        path, want = str(tmp_path / "latest.dcnw"), str(tmp_path / "want.dcnw")
+        save_checkpoint(build(cfg), want, step=1)  # zero gradients leave the weights
+        config = TrainConfig(batch_size=1, epochs=1, checkpoint_path=path)
+        with pytest.raises(NumericError, match="codebook.prototypes"):
+            train(build(cfg), harness_records(2), [], config)
+        assert len(calls) == 2
+        assert open(path, "rb").read() == open(want, "rb").read()
 
 
 @pytest.fixture(scope="module")
