@@ -27,9 +27,11 @@ counts as converged; see ``slic_segment``."""
 SWEEP_BLOCK_CELLS = 1 << 15
 """Window cells an assignment sweep scores at once. Centers are taken in
 blocks of about this many cells, so each per-sweep temporary stays near
-256 KiB whatever the stack size and center count; on stacks of 64x64
-tiles with 64 centers each that ran faster than blocks of half or twice
-the size."""
+256 KiB whatever the stack size and center count. On 64x64 tiles with
+64 centers each (17x17-cell windows), segmented in the chunks of 4 tiles
+``dcn predict`` uses for the narrow model, blocks of half or twice the
+size were no faster by more than the run-to-run spread of perfbench's
+predict-scenes workload on a 2-core VM."""
 
 
 @dataclass(frozen=True)
@@ -200,9 +202,10 @@ def assign_pixels(
     Tile i's pixels join the nearest of its own centers,
     ``positions[i]`` ([n, 2]) with features ``center_feats[i]``
     ([n, c]), and labels count those centers from 0 in every tile. A
-    center reaches the pixels within ``2 * s_grid`` of it along each
-    axis. The combined distance is ``sqrt(d_feat + (m / s_grid)**2 * d_xy)``
-    with ``d_xy`` the squared spatial distance; ``d_feat`` adds the
+    center searches the 2S x 2S window of Achanta et al. (TPAMI 2012):
+    the pixels within ``s_grid`` of it along each axis. The combined
+    distance is ``sqrt(d_feat + (m / s_grid)**2 * d_xy)`` with ``d_xy``
+    the squared spatial distance; ``d_feat`` adds the
     per-channel squared feature differences one channel at a time, in
     channel order (below 8 channels, the same bits as numpy's last-axis
     ``sum``). A pixel joins the center at the smallest distance, exact
@@ -223,7 +226,7 @@ def assign_pixels(
     t, h, w, c = feat.shape
     n = positions.shape[1]
     spatial_w = (m / s_grid) ** 2
-    reach = 2.0 * s_grid
+    reach = s_grid
     cy, cx = positions[..., 0].ravel(), positions[..., 1].ravel()
     tile_of = np.repeat(np.arange(t), n)
     # np.trunc, like int(), rounds toward zero for centers off the image

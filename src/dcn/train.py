@@ -321,10 +321,13 @@ def train(
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
+            buffers = model.buffers()  # the train-phase forward replaces them
             try:
                 loss, grads = _batch_gradients(model, prepared, batch)
                 updated, state = adam_step(model.parameters(), grads, state)
             except NumericError:
+                for name, tensor in buffers.items():
+                    model.set_buffer(name, tensor)
                 if config.checkpoint_path:
                     save_checkpoint(model, config.checkpoint_path, step=state.t)
                 raise

@@ -9,6 +9,7 @@ import pytest
 import dcn
 from dcn import superpixel
 from dcn.autodiff import GradTape, Tensor, backward, grad_check, square, tsum
+from dcn.cli import _scene_spec
 from dcn.superpixel import (
     CONVERGENCE_EPS,
     SlicParams,
@@ -167,7 +168,7 @@ def _assign_pixels_loop(feat, positions, center_feats, s_grid, m, window_sum=_ch
     best = np.full((h, w), np.inf)
     labels = np.full((h, w), -1, dtype=np.int64)
     spatial_w = (m / s_grid) ** 2
-    reach = 2.0 * s_grid
+    reach = s_grid
 
     for idx in range(len(positions)):
         cy, cx = positions[idx]
@@ -273,7 +274,7 @@ def _merge_fragments_bfs(labels, min_size):
 def _uncovered(h, w, positions, s_grid):
     """Pixels outside every center's search window, from the window geometry."""
     covered = np.zeros((h, w), dtype=bool)
-    reach = 2.0 * s_grid
+    reach = s_grid
     for cy, cx in positions:
         y0, y1 = max(0, int(cy - reach)), min(h, int(cy + reach) + 1)
         x0, x1 = max(0, int(cx - reach)), min(w, int(cx + reach) + 1)
@@ -802,7 +803,7 @@ class TestSlicSegment:
             got = _assign_one(feat, positions, cfeats, s_grid, m=10.0)
 
             h, w, _ = feat.shape
-            reach = 2.0 * s_grid
+            reach = s_grid
             spatial_w = (10.0 / s_grid) ** 2
             want = np.full((h, w), -1, dtype=np.int64)
             best = np.full((h, w), np.inf)
@@ -964,6 +965,47 @@ class TestSlicSegmentBatch:
             slic_segment_batch(np.zeros((0, 8, 8, 1)), SlicParams(k_desired=4))
         with pytest.raises(ValueError):
             slic_segment_batch(np.zeros((2, 8, 8, 1)), SlicParams(k_desired=65))
+
+
+class TestSuperpixelQuality:
+    """SLIC on 32 tiles of `dcn synth` scenes against their MASK."""
+
+    def test_boundary_recall_undersegmentation_and_asa(self):
+        # pooled over the corpus; the floors leave margin below both the
+        # 2S x 2S window (BR 0.9990, UE 0.0033, ASA 0.99948) and a 4S x 4S
+        # window (0.9996, 0.0021, 0.99968)
+        bands = ("RED", "GREEN", "BLUE", "NIR", "NDVI", "DSM")
+        feats, masks = [], []
+        for seed in range(100, 108):
+            scene = dcn.normalize(dcn.compute_ndvi(dcn.synth_scene(_scene_spec(128, seed))))[0]
+            full = np.stack([scene.band(b) for b in bands], -1)
+            for y in range(0, 128, 64):
+                for x in range(0, 128, 64):
+                    feats.append(zscore_features(full[y : y + 64, x : x + 64]))
+                    masks.append(scene.band("MASK")[y : y + 64, x : x + 64].astype(np.int64))
+        maps = slic_segment_batch(np.stack(feats), SlicParams(k_desired=64, m=2.0))
+
+        recalled = boundaries = leaked = best = pixels = 0
+        for sp, mask in zip(maps, masks):
+            truth = boundary_mask(mask)
+            near = np.lib.stride_tricks.sliding_window_view(
+                np.pad(boundary_mask(sp.labels), 2), (5, 5)
+            ).any(axis=(-1, -2))
+            recalled += (truth & near).sum()
+            boundaries += truth.sum()
+            # per segment: pixels inside and outside the footprints
+            inside = np.bincount(sp.labels.ravel(), weights=mask.ravel(), minlength=sp.n_segments)
+            outside = sp.counts - inside
+            # Achanta et al. (TPAMI 2012): a segment counts against every
+            # truth region holding more than 5% of it
+            leaked += sum(sp.counts[part > 0.05 * sp.counts].sum() for part in (inside, outside))
+            leaked -= sp.counts.sum()
+            best += np.maximum(inside, outside).sum()
+            pixels += sp.counts.sum()
+        assert boundaries > 1000
+        assert recalled / boundaries >= 0.99
+        assert leaked / pixels <= 0.01
+        assert best / pixels >= 0.998
 
 
 class TestStackMaps:

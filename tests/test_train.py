@@ -483,6 +483,30 @@ class TestTrainLoop:
         assert len(calls) == 2
         assert open(path, "rb").read() == open(want, "rb").read()
 
+    def test_refused_step_saves_the_pre_step_buffers(self, tmp_path, monkeypatch):
+        # the real forward pass moves the batch-norm running statistics
+        # before Adam refuses the inf gradient of the first step
+        train_module = importlib.import_module("dcn.train")
+        real = train_module._batch_gradients
+
+        def gradients(model, prepared, indexes):
+            loss, grads = real(model, prepared, indexes)
+            grads["codebook.prototypes"][0, 0] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(train_module, "_batch_gradients", gradients)
+        cfg = harness_config(block_channels=(2, 2, 2, 2, 2), embedding_dim=2)
+        path = str(tmp_path / "latest.dcnw")
+        config = TrainConfig(batch_size=2, epochs=1, checkpoint_path=path)
+        with pytest.raises(NumericError, match="codebook.prototypes"):
+            train(build(cfg), harness_records(2), [], config)
+        saved, fresh = load_checkpoint(path), build(cfg)
+        assert len(fresh.buffers()) == 30
+        for name, tensor in fresh.buffers().items():
+            np.testing.assert_array_equal(saved.buffers()[name].data, tensor.data, err_msg=name)
+        for name, tensor in fresh.parameters().items():
+            np.testing.assert_array_equal(saved.parameters()[name].data, tensor.data, err_msg=name)
+
 
 @pytest.fixture(scope="module")
 def overfit_run():
