@@ -53,7 +53,6 @@ _SOURCES = {
         "SlicParams",
         "SuperpixelMap",
         "broadcast_labels",
-        "enforce_connectivity",
         "slic_segment",
         "superpixel_mean",
         "zscore_features",

@@ -260,6 +260,10 @@ def cmd_train(args):
     )
     if not os.path.isdir(args.data):
         raise DataError(f"--data {args.data} is not a directory")
+    # fail before the scenes are read and trained on, not at the final write
+    for flag, path in (("--out", args.out), ("--history", args.history)):
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise DataError(f"{flag} {path}: no such directory")
     chunk = infer_chunk(config)
     records = []
     for name in sorted(os.listdir(args.data)):

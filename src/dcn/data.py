@@ -217,18 +217,22 @@ def write_atomic(path: str, blob: bytes) -> None:
 
     The bytes go to a temporary file in the same directory, which then
     replaces ``path``; on failure the temporary file is removed, so no
-    partial file is left behind.
+    partial file is left behind. An OS failure, such as a missing
+    directory, is a DataError naming ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise DataError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 class BlobReader:

@@ -25,6 +25,12 @@ from .autodiff import add, div, sqrt, square, sub, tmean  # noqa: F401
 
 PHASES = ("train", "infer")
 
+BN_EPSILON = 1e-5
+"""Added to the variance before its square root in ``batch_norm``."""
+
+BN_MOMENTUM = 0.9
+"""Share of the old running statistics kept at each training step."""
+
 
 def _check_phase(phase: str) -> bool:
     if phase not in PHASES:
@@ -61,9 +67,9 @@ class Conv2dLayer:
 class BatchNormLayer:
     """Per-channel normalization state.
 
-    The centred input is divided by sqrt(var + epsilon) and scaled and
+    The centred input is divided by sqrt(var + BN_EPSILON) and scaled and
     shifted by the learned gamma/beta. Running buffers fold in batch
-    statistics with the given momentum during training and drive
+    statistics with momentum BN_MOMENTUM during training and drive
     normalization at inference.
     """
 
@@ -71,14 +77,8 @@ class BatchNormLayer:
     beta: Tensor
     running_mean: Tensor
     running_var: Tensor
-    epsilon: float = 1e-5
-    momentum: float = 0.9
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
         c = self.gamma.shape
         if not (self.beta.shape == self.running_mean.shape == self.running_var.shape == c):
             raise ValueError("gamma, beta and running buffers must share shape [c]")
@@ -86,13 +86,7 @@ class BatchNormLayer:
             raise ValueError("running_var must be non-negative")
 
     @classmethod
-    def create(
-        cls,
-        channels: int,
-        epsilon: float = 1e-5,
-        momentum: float = 0.9,
-        dtype=np.float32,
-    ) -> "BatchNormLayer":
+    def create(cls, channels: int, dtype=np.float32) -> "BatchNormLayer":
         if channels <= 0:
             raise ValueError(f"channels must be positive, got {channels}")
         return cls(
@@ -100,8 +94,6 @@ class BatchNormLayer:
             beta=Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
             running_mean=Tensor(np.zeros(channels, dtype=dtype)),
             running_var=Tensor(np.ones(channels, dtype=dtype)),
-            epsilon=epsilon,
-            momentum=momentum,
         )
 
 
@@ -238,7 +230,7 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
     folds them into the running buffers; inference normalizes by the
     buffers and leaves them untouched. The whole layer is one tape op
     whose backward is the closed form of Ioffe & Szegedy (2015): with
-    ``xc = x - mean`` and ``inv = 1 / sqrt(var + epsilon)``, the
+    ``xc = x - mean`` and ``inv = 1 / sqrt(var + BN_EPSILON)``, the
     centred gradient is ``gy * inv + xc * 2 * gvar / N`` and the input
     gradient is that minus its per-channel mean (training only, since
     inference statistics are constants).
@@ -258,7 +250,7 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
         mu = x.mean(axis=axes, dtype=dtype)
         xc = x - mu
         var = (xc * xc).mean(axis=axes, dtype=dtype)
-        m = layer.momentum
+        m = BN_MOMENTUM
         rdtype = layer.running_mean.data.dtype
         layer.running_mean = Tensor._wrap(
             (m * layer.running_mean.data + (1.0 - m) * mu).astype(rdtype)
@@ -269,7 +261,7 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
     else:
         var = layer.running_var.data.astype(dtype)
         xc = x - layer.running_mean.data.astype(dtype)
-    shifted = var + np.asarray(layer.epsilon, dtype=dtype)
+    shifted = var + np.asarray(BN_EPSILON, dtype=dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
         divisor = np.sqrt(shifted)
         out = xc / divisor

@@ -352,8 +352,12 @@ def infer_rasters(
 ) -> list[np.ndarray]:
     """Infer-phase label rasters of [t, t, c_in] tiles, chunk by chunk.
 
-    Tiles go through ``forward_batch`` in chunks of ``infer_chunk``;
-    each raster equals ``forward`` on its tile alone.
+    Tiles go through ``forward_batch`` in chunks of ``infer_chunk``.
+    Each raster equals ``forward`` on its tile alone only where BLAS
+    gives each row of a matrix product the same result whatever the
+    row count. OpenBLAS does not for small products (M*N*K below about
+    10^6) on AVX-512 cores, where the class distances of a chunk can
+    differ from the one-tile pass in the last bits.
     """
     chunk = infer_chunk(model.config)
     rasters = []
@@ -408,15 +412,13 @@ def _config_from_text(text: str, path: str) -> DcnConfig:
         raise DataError(f"invalid checkpoint config: {err}") from err
 
 
-def save_checkpoint(model: DcnModel, path: str, step: int | None = None) -> None:
+def save_checkpoint(model: DcnModel, path: str) -> None:
     """Write the model to ``path`` atomically in the DCNW layout."""
-    if step is None:
-        step = model.global_step
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     cfg = _config_to_text(model.config).encode("utf-8")
     chunks.append(struct.pack("<I", len(cfg)))
     chunks.append(cfg)
-    chunks.append(struct.pack("<Q", step))
+    chunks.append(struct.pack("<Q", model.global_step))
     records = list(model.parameters().items()) + list(model.buffers().items())
     for name, tensor in records:
         nb = name.encode("utf-8")

@@ -77,23 +77,21 @@ class AdamState:
 
 
 def adam_step(
-    params: dict[str, Tensor], grads: dict, state: AdamState
+    params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState
 ) -> tuple[dict[str, Tensor], AdamState]:
     """One bias-corrected Adam update; returns fresh parameter tensors.
 
-    Gradients may be Tensors, arrays, or None (treated as zero). Any
-    non-finite gradient aborts with the offending parameter named,
-    before ``state`` changes.
+    ``grads`` holds one array per parameter. A missing or misshapen
+    gradient is a ValueError and a non-finite one a NumericError, each
+    naming the parameter, raised before ``state`` changes.
     """
     if set(params) != set(state.m):
         raise ValueError("optimizer state does not cover these parameters")
     checked = {}
     for name, param in params.items():
-        grad = grads.get(name)
-        if grad is None:
-            checked[name] = np.zeros_like(param.data)
-            continue
-        g = grad.data if isinstance(grad, Tensor) else np.asarray(grad)
+        g = grads.get(name)
+        if g is None:
+            raise ValueError(f"no gradient for parameter {name}")
         if g.shape != param.data.shape:
             raise ValueError(
                 f"gradient for {name} has shape {g.shape}, parameter is {param.data.shape}"
@@ -171,11 +169,10 @@ class ConfusionCounts:
 class CostReport:
     ne: int
     tt_seconds: float
-    cc_minutes: float
 
-    def __post_init__(self) -> None:
-        if self.cc_minutes != self.ne * self.tt_seconds / 60.0:
-            raise ValueError("cc_minutes must equal ne * tt_seconds / 60")
+    @property
+    def cc_minutes(self) -> float:
+        return self.ne * self.tt_seconds / 60.0
 
 
 def computational_cost(ne: int, tt_seconds: float) -> CostReport:
@@ -184,7 +181,7 @@ def computational_cost(ne: int, tt_seconds: float) -> CostReport:
         raise ValueError(f"epoch count must be at least 1, got {ne}")
     if tt_seconds < 0:
         raise ValueError(f"seconds per epoch must be non-negative, got {tt_seconds}")
-    return CostReport(ne=ne, tt_seconds=float(tt_seconds), cc_minutes=ne * float(tt_seconds) / 60.0)
+    return CostReport(ne=ne, tt_seconds=float(tt_seconds))
 
 
 def _binary(name: str, arr: np.ndarray) -> np.ndarray:
@@ -312,6 +309,7 @@ def train(
     prepared_val = [_prepared_tile(model, r, dtype) for r in val_tiles]
 
     state = AdamState.create(model.parameters())
+    model.global_step = state.t  # saves record the steps of this run
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
     started = time.perf_counter()
@@ -329,12 +327,12 @@ def train(
                 for name, tensor in buffers.items():
                     model.set_buffer(name, tensor)
                 if config.checkpoint_path:
-                    save_checkpoint(model, config.checkpoint_path, step=state.t)
+                    save_checkpoint(model, config.checkpoint_path)
                 raise
             batch_losses.append((loss, len(batch)))
             for name, tensor in updated.items():
                 model.set_parameter(name, tensor)
-        model.global_step = state.t
+            model.global_step = state.t
 
         history.epoch.append(epoch)
         total = sum(count for _, count in batch_losses)
@@ -342,31 +340,18 @@ def train(
         score = _validation_iou(model, prepared_val) if prepared_val else None
         history.val_iou.append(score)
         if config.checkpoint_path:
-            save_checkpoint(model, config.checkpoint_path, step=state.t)
+            save_checkpoint(model, config.checkpoint_path)
 
     elapsed = time.perf_counter() - started
     report = computational_cost(config.epochs, elapsed / config.epochs)
     return history, report
 
 
-def report_json(
-    history: TrainHistory,
-    counts: ConfusionCounts | None = None,
-    cost: CostReport | None = None,
-) -> str:
-    """The run summary as a JSON document."""
-    doc: dict = {
+def report_json(history: TrainHistory) -> str:
+    """The per-epoch history as a JSON document."""
+    doc = {
         "epoch": list(history.epoch),
         "loss": list(history.loss),
         "val_iou": list(history.val_iou),
     }
-    if counts is not None:
-        doc["oa"] = overall_accuracy(counts)
-        doc["iou"] = iou(counts)
-        doc["tp"], doc["fp"] = counts.tp, counts.fp
-        doc["fn"], doc["tn"] = counts.fn, counts.tn
-    if cost is not None:
-        doc["ne"] = cost.ne
-        doc["tt_seconds"] = cost.tt_seconds
-        doc["cc_minutes"] = cost.cc_minutes
     return json.dumps(doc, indent=2)

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -256,6 +258,22 @@ class TestTrain:
         assert cli.run(["train", "--data", str(tmp_path / "nope"), "--out", out]) == 2
         assert "--data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_output_in_a_missing_directory_fails_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch, flag
+    ):
+        entered = []
+        monkeypatch.setattr(sys.modules["dcn.train"], "train", lambda *a: entered.append(a))
+        paths = {"--out": str(tmp_path / "m.dcnw"), "--history": str(tmp_path / "h.json")}
+        paths[flag] = str(tmp_path / "nope" / os.path.basename(paths[flag]))
+        argv = ["train", "--data", workspace["data"], "--window", "64", "--stride", "64",
+                "--channels", "2,2,2,2,2", "--dim", "2"]
+        code = cli.run(argv + [arg for pair in paths.items() for arg in pair])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert flag in err and paths[flag] in err
+        assert not entered
+
 
 class TestPredict:
     def test_writes_mask_and_errmap(self, workspace, tmp_path, capsys):
@@ -471,6 +489,14 @@ class TestEval:
         _assert_data_error_names(capsys, code, bad, what)
         assert not os.path.exists(out)
 
+    def test_json_in_a_missing_directory_is_a_data_error(self, workspace, tmp_path, capsys):
+        out = str(tmp_path / "nope" / "m.json")
+        code = cli.run(["eval", "--pred", _mask(workspace, 0), "--truth", _mask(workspace, 0),
+                        "--json", out])
+        assert code == 2
+        assert out in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_no_mask_band_names_flag(self, workspace, tmp_path, capsys):
         labels = str(tmp_path / "labels.bmsr")
         assert cli.run(["slic", "--input", _scene(workspace, 0), "--k", "16",
@@ -615,10 +641,19 @@ class TestLazyPackage:
             "import dcn.train\n"
             "print(dcn.train.__module__, len(dcn.__all__))\n"
         )
-        assert self._python(code) == "dcn.train 53"
+        assert self._python(code) == "dcn.train 52"
 
 
 class TestSubprocessEntryPoint:
+    def test_console_script_resolves_to_a_callable(self):
+        # Python 3.10 has no tomllib, so the table is read with a regex
+        pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        text = open(pyproject, encoding="utf-8").read()
+        table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, flags=re.M | re.S)
+        scripts = dict(re.findall(r'^(\S+)\s*=\s*"([^"]+)"', table.group(1), flags=re.M))
+        module, attr = scripts["dcn"].split(":")
+        assert callable(getattr(importlib.import_module(module), attr, None))
+
     def test_module_invocation(self, workspace, tmp_path):
         out = str(tmp_path / "metrics.json")
         proc = subprocess.run(

@@ -17,7 +17,10 @@ from dcn.autodiff import (
     tmean,
     tsum,
 )
+from dcn import layers
 from dcn.layers import (
+    BN_EPSILON,
+    BN_MOMENTUM,
     BatchNormLayer,
     Conv2dLayer,
     DropoutLayer,
@@ -302,8 +305,8 @@ class TestRelu:
         assert g.data[0] == 0.0
 
 
-def _bn(channels=1, dtype=np.float32, **kwargs):
-    return BatchNormLayer.create(channels, dtype=dtype, **kwargs)
+def _bn(channels=1, dtype=np.float32):
+    return BatchNormLayer.create(channels, dtype=dtype)
 
 
 def _batch123(dtype=np.float32):
@@ -317,14 +320,14 @@ def composed_batch_norm(batch, layer, phase):
         mu = tmean(batch, axis=(0, 1, 2))
         centred = sub(batch, mu)
         var = tmean(square(centred), axis=(0, 1, 2))
-        m = layer.momentum
+        m = BN_MOMENTUM
         layer.running_mean = Tensor(m * layer.running_mean.data + (1.0 - m) * mu.data)
         layer.running_var = Tensor(m * layer.running_var.data + (1.0 - m) * var.data)
     else:
         mu = Tensor(layer.running_mean.data)
         var = Tensor(layer.running_var.data)
         centred = sub(batch, mu)
-    eps = Tensor(np.asarray(layer.epsilon, dtype=dtype))
+    eps = Tensor(np.asarray(BN_EPSILON, dtype=dtype))
     normed = div(centred, sqrt(add(var, eps)))
     return add(mul(normed, layer.gamma), layer.beta)
 
@@ -392,7 +395,7 @@ class TestBatchNorm:
         assert [entry.op for entry in tape.entries] == ["batch_norm"]
 
     def test_standard_normalization_of_1_2_3(self):
-        out = batch_norm(_batch123(), _bn(epsilon=1e-5), phase="train")
+        out = batch_norm(_batch123(), _bn(), phase="train")
         np.testing.assert_allclose(out.data.ravel(), [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_standard_train_output_is_standardized(self):
@@ -402,16 +405,18 @@ class TestBatchNorm:
         assert np.abs(out.mean(axis=(0, 1, 2))).max() < 1e-6
         np.testing.assert_allclose(out.var(axis=(0, 1, 2)), 1.0, atol=1e-4)
 
-    def test_running_statistics_update(self):
-        layer = _bn(epsilon=0.0, momentum=0.9)
+    def test_running_statistics_update(self, monkeypatch):
+        monkeypatch.setattr(layers, "BN_EPSILON", 0.0)
+        layer = _bn()
         batch_norm(_batch123(), layer, phase="train")
         np.testing.assert_allclose(layer.running_mean.data, [0.2], atol=1e-6)
         np.testing.assert_allclose(
             layer.running_var.data, [0.9 + 0.1 * (2.0 / 3.0)], atol=1e-6
         )
 
-    def test_inference_uses_buffers_without_touching_them(self):
-        layer = _bn(epsilon=0.0)
+    def test_inference_uses_buffers_without_touching_them(self, monkeypatch):
+        monkeypatch.setattr(layers, "BN_EPSILON", 0.0)
+        layer = _bn()
         layer.running_mean = Tensor(np.array([1.0], dtype=np.float32))
         layer.running_var = Tensor(np.array([4.0], dtype=np.float32))
         x = Tensor(np.array([1.0, 3.0, 5.0], dtype=np.float32).reshape(1, 1, 3, 1))
@@ -452,10 +457,6 @@ class TestBatchNorm:
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchNormLayer.create(0)
-        with pytest.raises(ValueError):
-            BatchNormLayer.create(1, momentum=1.0)
-        with pytest.raises(ValueError):
-            BatchNormLayer.create(1, epsilon=-1e-3)
         layer = _bn(2)
         with pytest.raises(ValueError):
             batch_norm(Tensor(np.ones((4, 4, 2))), layer, "train")  # no batch axis

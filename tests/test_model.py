@@ -372,7 +372,8 @@ class TestCheckpoint:
         import struct
 
         path = str(tmp_path / "model.dcnw")
-        save_checkpoint(self.model, path, step=5)
+        self.model.global_step = 5
+        save_checkpoint(self.model, path)
         blob = open(path, "rb").read()
         assert blob[:4] == CHECKPOINT_MAGIC
         (version,) = struct.unpack_from("<I", blob, 4)

@@ -18,7 +18,6 @@ from dcn.superpixel import (
     _merge_fragments,
     assign_pixels,
     broadcast_labels,
-    enforce_connectivity,
     seed_centers,
     segment_means,
     slic_segment,
@@ -104,6 +103,11 @@ def _map_of(labels):
     labels = np.asarray(labels)
     feat = labels[:, :, None].astype(np.float64)
     return SuperpixelMap.from_labels(labels, feat)
+
+
+def _connected(labels, min_size):
+    """The map of ``labels`` after SLIC's fragment merge."""
+    return SuperpixelMap.from_labels(_merge_fragments(np.asarray(labels), min_size))
 
 
 def _segment_means_add_at(values, labels, n):
@@ -327,7 +331,7 @@ def _slic_add_at(feat, params):
     h, w, _ = feat.shape
     positions, cfeats, s_grid = _seed_centers_loop(feat, params.k_desired)
     motion, converged = [], False
-    for _ in range(params.max_iters):
+    for _ in range(superpixel.MAX_ITERS):
         labels = _assign_pixels_loop(feat, positions, cfeats, s_grid, params.m)
         flat = labels.ravel()
         counts = np.bincount(flat, minlength=len(positions))
@@ -346,14 +350,14 @@ def _slic_add_at(feat, params):
         if motion[-1] < CONVERGENCE_EPS:
             converged = True
             break
-    min_size = params.min_size_factor * (h * w / params.k_desired)
+    min_size = superpixel.MIN_SIZE_FACTOR * (h * w / params.k_desired)
     return _merge_fragments_bfs(labels, min_size), tuple(motion), converged
 
 
 class TestSlicParams:
     def test_defaults(self):
         p = SlicParams(k_desired=16)
-        assert (p.m, p.max_iters, p.min_size_factor) == (10.0, 10, 0.25)
+        assert p.m == 10.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -362,12 +366,6 @@ class TestSlicParams:
             SlicParams(k_desired=4, m=0.0)
         with pytest.raises(ValueError):
             SlicParams(k_desired=4, m=-1.0)
-        with pytest.raises(ValueError):
-            SlicParams(k_desired=4, max_iters=0)
-        with pytest.raises(ValueError):
-            SlicParams(k_desired=4, min_size_factor=0.0)
-        with pytest.raises(ValueError):
-            SlicParams(k_desired=4, min_size_factor=1.5)
 
 
 class TestSuperpixelMapConstruction:
@@ -409,35 +407,35 @@ class TestSuperpixelMapConstruction:
 class TestEnforceConnectivity:
     def test_island_merges_into_largest_neighbour(self):
         labels = np.array([[0, 0, 1, 1], [0, 2, 1, 1], [0, 0, 1, 1]])
-        out = enforce_connectivity(_map_of(labels), min_size=2)
+        out = _connected(labels, 2)
         want = np.array([[0, 0, 1, 1], [0, 1, 1, 1], [0, 0, 1, 1]])
         np.testing.assert_array_equal(out.labels, want)
 
     def test_disconnected_fragments_get_distinct_labels(self):
-        out = enforce_connectivity(_map_of([[0, 1, 0]]), min_size=0.5)
+        out = _connected([[0, 1, 0]], 0.5)
         np.testing.assert_array_equal(out.labels, [[0, 1, 2]])
 
     def test_already_connected_map_only_renumbers(self):
         labels = np.array([[1, 1, 0], [1, 0, 0]])
-        out = enforce_connectivity(_map_of(labels), min_size=0.5)
+        out = _connected(labels, 0.5)
         np.testing.assert_array_equal(out.labels, [[0, 0, 1], [0, 1, 1]])
 
     def test_smallest_components_dissolve_first(self):
         # sizes: label 0 covers 6, label 1 covers 2, label 2 covers 1;
         # both small ones must end up inside the big one
         labels = np.array([[0, 0, 0], [0, 2, 1], [0, 0, 1]])
-        out = enforce_connectivity(_map_of(labels), min_size=3)
+        out = _connected(labels, 3)
         np.testing.assert_array_equal(out.labels, np.zeros((3, 3), dtype=np.int64))
 
     def test_single_component_without_neighbours_survives(self):
         labels = np.zeros((2, 2), dtype=np.int64)
-        out = enforce_connectivity(_map_of(labels), min_size=100)
+        out = _connected(labels, 100)
         np.testing.assert_array_equal(out.labels, labels)
 
     def test_checkerboard_minsize_two(self):
         yy, xx = np.mgrid[0:8, 0:8]
         board = ((yy + xx) % 2).astype(np.int64)
-        out = enforce_connectivity(_map_of(board), min_size=2)
+        out = _connected(board, 2)
         comps = flood_components(out.labels)
         per_label = np.bincount([lab for lab, _ in comps])
         for lab, size in comps:
@@ -447,15 +445,15 @@ class TestEnforceConnectivity:
         rng = np.random.default_rng(301)
         labels = rng.integers(0, 5, size=(12, 12))
         labels.ravel()[:5] = np.arange(5)
-        once = enforce_connectivity(_map_of(labels), min_size=4)
-        twice = enforce_connectivity(once, min_size=4)
+        once = _connected(labels, 4)
+        twice = _connected(once.labels, 4)
         np.testing.assert_array_equal(once.labels, twice.labels)
 
     def test_every_output_label_is_one_connected_component(self):
         rng = np.random.default_rng(302)
         for _ in range(10):
             labels = _dense_random_labels(rng, 10, 14, 6)
-            out = enforce_connectivity(_map_of(labels), min_size=3)
+            out = _connected(labels, 3)
             comps = flood_components(out.labels)
             assert len(comps) == out.n_segments
             assert sorted(lab for lab, _ in comps) == list(range(out.n_segments))
@@ -463,7 +461,7 @@ class TestEnforceConnectivity:
     def test_statistics_recomputed_after_merge(self):
         rng = np.random.default_rng(313)
         labels = _dense_random_labels(rng, 10, 10, 8)
-        out = enforce_connectivity(SuperpixelMap.from_labels(labels), min_size=4)
+        out = _connected(labels, 4)
         assert out.counts.sum() == 100
         np.testing.assert_array_equal(out.counts, np.bincount(out.labels.ravel()))
 
@@ -530,7 +528,7 @@ class TestMergeFragmentsOnWhiteNoise:
     def test_first_sweep_labels_of_noise_tiles(self):
         rng = np.random.default_rng(343)
         params = SlicParams(k_desired=64, m=2.0)
-        min_size = params.min_size_factor * 64 * 64 / params.k_desired
+        min_size = superpixel.MIN_SIZE_FACTOR * 64 * 64 / params.k_desired
         for _ in range(3):
             feat = rng.standard_normal((64, 64, 6))
             positions, cfeats, s_grid = _seed_one(feat, params.k_desired)
@@ -737,7 +735,7 @@ class TestSlicSegment:
         assert sp.converged
         np.testing.assert_array_equal(np.bincount(sp.labels.ravel()), np.full(16, 64))
 
-    def test_bit_identical_to_add_at_oracle_on_seeded_corpus(self):
+    def test_bit_identical_to_add_at_oracle_on_seeded_corpus(self, monkeypatch):
         # random sizes and channel counts; every other image is rounded to
         # one decimal so distances and center sums hit many exact ties
         rng = np.random.default_rng(331)
@@ -749,8 +747,8 @@ class TestSlicSegment:
             params = SlicParams(
                 k_desired=int(rng.integers(1, h * w // 8 + 2)),
                 m=float(rng.choice([0.5, 2.0, 10.0])),
-                max_iters=int(rng.integers(1, 11)),
             )
+            monkeypatch.setattr(superpixel, "MAX_ITERS", int(rng.integers(1, 11)))
             labels, motion, converged = _slic_add_at(feat.copy(), params)
             sp = slic_segment(feat, params)
             np.testing.assert_array_equal(sp.labels, labels, err_msg=f"case {case}")
@@ -766,7 +764,7 @@ class TestSlicSegment:
             assert sp.center_motion == motion, f"tile {i}"
             assert sp.converged == converged, f"tile {i}"
 
-    def test_bit_identical_to_frozen_loops_on_random_sizes(self):
+    def test_bit_identical_to_frozen_loops_on_random_sizes(self, monkeypatch):
         rng = np.random.default_rng(347)
         for case in range(30):
             h, w = int(rng.integers(6, 71)), int(rng.integers(6, 71))
@@ -776,8 +774,8 @@ class TestSlicSegment:
             params = SlicParams(
                 k_desired=int(rng.integers(1, h * w // 16 + 2)),
                 m=float(rng.choice([0.5, 2.0, 10.0])),
-                max_iters=int(rng.integers(1, 11)),
             )
+            monkeypatch.setattr(superpixel, "MAX_ITERS", int(rng.integers(1, 11)))
             labels, motion, converged = _slic_add_at(feat.copy(), params)
             sp = slic_segment(feat, params)
             np.testing.assert_array_equal(sp.labels, labels, err_msg=f"case {case}")
@@ -886,11 +884,13 @@ class TestSlicSegment:
         assert sp.converged
         assert sp.center_motion[-1] < 1e-3
 
-    def test_min_size_factor_controls_fragment_merging(self):
+    def test_min_size_factor_controls_fragment_merging(self, monkeypatch):
         rng = np.random.default_rng(306)
         feat = rng.normal(size=(24, 24, 1))
-        loose = slic_segment(feat, SlicParams(k_desired=9, min_size_factor=1e-6))
-        tight = slic_segment(feat, SlicParams(k_desired=9, min_size_factor=0.25))
+        monkeypatch.setattr(superpixel, "MIN_SIZE_FACTOR", 1e-6)
+        loose = slic_segment(feat, SlicParams(k_desired=9))
+        monkeypatch.setattr(superpixel, "MIN_SIZE_FACTOR", 0.25)
+        tight = slic_segment(feat, SlicParams(k_desired=9))
         assert loose.n_segments >= tight.n_segments
 
     def test_validation(self):
@@ -901,10 +901,6 @@ class TestSlicSegment:
             slic_segment(np.zeros((8, 8)), SlicParams(k_desired=4))
         with pytest.raises(ValueError):
             slic_segment(np.zeros((0, 8, 1)), SlicParams(k_desired=4))
-
-    def test_accepts_tensor_features(self):
-        sp = slic_segment(Tensor(np.zeros((16, 16, 1))), SlicParams(k_desired=4))
-        assert sp.n_segments == 4
 
 
 class TestSlicSegmentBatch:
@@ -932,14 +928,14 @@ class TestSlicSegmentBatch:
                 params = SlicParams(
                     k_desired=int(rng.integers(1, h * w // 8 + 2)),
                     m=float(rng.choice([0.5, 2.0, 10.0])),
-                    max_iters=int(rng.integers(1, 11)),
                 )
+                monkeypatch.setattr(superpixel, "MAX_ITERS", int(rng.integers(1, 11)))
                 monkeypatch.setattr(superpixel, "SWEEP_BLOCK_CELLS", int(rng.choice([300, 1 << 15])))
                 self._check_against_oracle(feat, params, f"c {c} trial {trial}")
 
     def test_early_and_never_converging_tiles_share_a_stack(self):
         # constant tiles settle after two sweeps and stop; synthetic tiles
-        # keep sweeping around them to max_iters
+        # keep sweeping around them to MAX_ITERS
         synth = _synth_tiles(seeds=(2,))
         flat = np.zeros((64, 64, 6))
         stack = np.stack([synth[0], flat, synth[1], flat + 0.5])

@@ -22,7 +22,6 @@ from dcn.superpixel import SlicParams, SuperpixelMap, slic_segment, zscore_featu
 from dcn.train import (
     AdamState,
     ConfusionCounts,
-    CostReport,
     TrainConfig,
     adam_step,
     computational_cost,
@@ -110,7 +109,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = self._param([0.5, -1.5])
         state = AdamState.create(params)
-        updated, state = adam_step(params, {}, state)
+        updated, state = adam_step(params, {"w": np.zeros(2)}, state)
         assert state.t == 1
         assert updated["w"].data.tobytes() == params["w"].data.tobytes()
 
@@ -195,6 +194,13 @@ class TestAdam:
         state = AdamState.create(params)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, {"w": np.ones(3)}, state)
+
+    def test_missing_gradient_names_parameter(self):
+        params = {**self._param([1.0], name="a"), **self._param([2.0], name="b")}
+        state = AdamState.create(params)
+        with pytest.raises(ValueError, match="parameter b"):
+            adam_step(params, {"a": np.ones(1)}, state)
+        assert state.t == 0
 
     def test_state_coverage_mismatch_rejected(self):
         params = self._param([1.0])
@@ -361,10 +367,6 @@ class TestComputationalCost:
         with pytest.raises(ValueError):
             computational_cost(10, -1.0)
 
-    def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            CostReport(ne=1, tt_seconds=60.0, cc_minutes=2.0)
-
 
 class TestSuperpixelTruth:
     def test_majority_vote(self):
@@ -476,7 +478,9 @@ class TestTrainLoop:
         monkeypatch.setattr(train_module, "_batch_gradients", gradients)
         cfg = harness_config(block_channels=(2, 2, 2, 2, 2), embedding_dim=2)
         path, want = str(tmp_path / "latest.dcnw"), str(tmp_path / "want.dcnw")
-        save_checkpoint(build(cfg), want, step=1)  # zero gradients leave the weights
+        fixture = build(cfg)
+        fixture.global_step = 1
+        save_checkpoint(fixture, want)  # zero gradients leave the weights
         config = TrainConfig(batch_size=1, epochs=1, checkpoint_path=path)
         with pytest.raises(NumericError, match="codebook.prototypes"):
             train(build(cfg), harness_records(2), [], config)
@@ -542,21 +546,6 @@ class TestOverfitHarness:
 
 
 class TestReportJson:
-    def test_document_fields(self):
-        from dcn.train import TrainHistory
-
-        history = TrainHistory(epoch=[0, 1], loss=[0.7, 0.6], val_iou=[None, 0.5])
-        counts = ConfusionCounts(tp=3, fp=2, fn=1, tn=4)
-        cost = computational_cost(2, 30.0)
-        doc = json.loads(report_json(history, counts, cost))
-        assert doc["epoch"] == [0, 1]
-        assert doc["loss"] == [0.7, 0.6]
-        assert doc["val_iou"] == [None, 0.5]
-        assert doc["oa"] == 0.7
-        assert abs(doc["iou"] - 0.5) < 1e-12
-        assert (doc["tp"], doc["fp"], doc["fn"], doc["tn"]) == (3, 2, 1, 4)
-        assert doc["ne"] == 2 and doc["tt_seconds"] == 30.0 and doc["cc_minutes"] == 1.0
-
     def test_history_only_document(self):
         from dcn.train import TrainHistory
 
