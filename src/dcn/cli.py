@@ -7,6 +7,7 @@ numpy first loads.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -152,14 +153,22 @@ def _positive(value, flag):
     return value
 
 
-def _positive_real(value, flag):
-    if not value > 0:  # also rejects nan
-        raise UsageError(f"{flag} must be positive, got {value}")
+def _compactness(value, flag):
+    """A SLIC compactness m: positive, with the finite square SlicParams needs."""
+    if not (value > 0 and math.isfinite(value * value)):  # also rejects nan and inf
+        raise UsageError(f"{flag} must be positive with a finite square, got {value}")
 
 
 def _non_negative(value, flag):
     if value < 0:
         raise UsageError(f"{flag} must be >= 0, got {value}")
+
+
+def _check_output_dirs(*outputs):
+    """Fail on a (flag, path) whose directory is missing before any work, not at the write."""
+    for flag, path in outputs:
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise DataError(f"{flag} {path}: no such directory")
 
 
 def _slic_params(args, window):
@@ -170,7 +179,7 @@ def _slic_params(args, window):
     k = args.slic_k if args.slic_k is not None else pixels // 64
     _positive(k, "--slic-k")
     _at_most_pixels(k, "--slic-k", pixels)
-    _positive_real(args.slic_m, "--slic-m")
+    _compactness(args.slic_m, "--slic-m")
     return SlicParams(k_desired=k, m=args.slic_m)
 
 
@@ -203,7 +212,8 @@ def cmd_slic(args):
     from .superpixel import SlicParams, slic_segment, zscore_features
 
     _positive(args.k, "--k")
-    _positive_real(args.compactness, "--compactness")
+    _compactness(args.compactness, "--compactness")
+    _check_output_dirs(("--out", args.out))
     stack = _with_ndvi(read_bmsr(args.input))
     _at_most_pixels(args.k, "--k", stack.width * stack.height)
     roles = tuple(r for r in stack.roles if r not in ("MASK", "LABELS"))
@@ -260,10 +270,7 @@ def cmd_train(args):
     )
     if not os.path.isdir(args.data):
         raise DataError(f"--data {args.data} is not a directory")
-    # fail before the scenes are read and trained on, not at the final write
-    for flag, path in (("--out", args.out), ("--history", args.history)):
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise DataError(f"{flag} {path}: no such directory")
+    _check_output_dirs(("--out", args.out), ("--history", args.history))
     chunk = infer_chunk(config)
     records = []
     for name in sorted(os.listdir(args.data)):
@@ -319,6 +326,7 @@ def cmd_predict(args):
     model = load_checkpoint(args.model)
     window = model.config.tile_size
     params = _slic_params(args, window)
+    _check_output_dirs(("--out", args.out), ("--errmap", args.errmap))
 
     bands = model.config.input_bands
     tiled = _scene_tiles(args.input, "--input", bands, window, window)

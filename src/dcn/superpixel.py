@@ -14,6 +14,7 @@ loss on segments backpropagates to every member pixel.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,16 +22,12 @@ import numpy as np
 from .autodiff import Tensor, _apply
 
 MAX_ITERS = 10
-"""Assignment sweeps after which a tile stops, converged or not; the
-fixed 10 iterations of Achanta et al. (TPAMI 2012)."""
+"""Assignment sweeps every tile runs: the fixed 10 iterations of Achanta
+et al. (TPAMI 2012)."""
 
 MIN_SIZE_FACTOR = 0.25
 """Fragment-merge threshold as a share of the mean segment area
 ``h*w/k_desired``; see ``_merge_fragments``."""
-
-CONVERGENCE_EPS = 1e-3
-"""Pixels of center motion, summed over all centers, below which a sweep
-counts as converged; see ``slic_segment``."""
 
 SWEEP_BLOCK_CELLS = 1 << 15
 """Window cells an assignment sweep scores at once. Centers are taken in
@@ -47,7 +44,8 @@ class SlicParams:
     """Clustering knobs: segment count target and compactness trade-off.
 
     ``m`` weights spatial distance against feature distance; larger
-    values yield more compact, grid-like segments.
+    values yield more compact, grid-like segments. ``m * m`` must be
+    finite: the spatial weight ``(m / S)**2`` uses it, and S >= 1.
     """
 
     k_desired: int
@@ -56,8 +54,8 @@ class SlicParams:
     def __post_init__(self) -> None:
         if self.k_desired < 1:
             raise ValueError(f"k_desired must be positive, got {self.k_desired}")
-        if not self.m > 0:
-            raise ValueError(f"compactness m must be positive, got {self.m}")
+        if not (self.m > 0 and math.isfinite(self.m * self.m)):  # also rejects nan
+            raise ValueError(f"compactness m must be positive with a finite square, got {self.m}")
 
 
 @dataclass
@@ -68,13 +66,17 @@ class SuperpixelMap:
     ids are dense and ordered by first appearance in row-major scan.
     ``counts`` holds each segment's pixel count.
     ``center_motion`` records the summed Euclidean center displacement
-    of each clustering iteration that ran.
+    of each clustering sweep, ``MAX_ITERS`` of them for a SLIC map.
+    ``converged`` says the last sweep moved no center.
     """
 
     labels: np.ndarray
     counts: np.ndarray
     center_motion: tuple[float, ...] = field(default_factory=tuple)
-    converged: bool = False
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.center_motion) and self.center_motion[-1] == 0.0
 
     @property
     def n_segments(self) -> int:
@@ -90,7 +92,6 @@ class SuperpixelMap:
         labels: np.ndarray,
         features: np.ndarray | None = None,
         center_motion: tuple[float, ...] = (),
-        converged: bool = False,
     ) -> "SuperpixelMap":
         """Build a map from a label raster, validating the partition.
 
@@ -113,10 +114,7 @@ class SuperpixelMap:
         if labels.min() < 0 or (counts == 0).any():
             raise ValueError("labels must be dense in [0, S) with no empty segment")
         return cls(
-            labels=labels.astype(np.int64),
-            counts=counts,
-            center_motion=tuple(center_motion),
-            converged=converged,
+            labels=labels.astype(np.int64), counts=counts, center_motion=tuple(center_motion)
         )
 
 
@@ -448,17 +446,11 @@ def slic_segment(features: np.ndarray, params: SlicParams) -> SuperpixelMap:
 def slic_segment_batch(features, params: SlicParams) -> list[SuperpixelMap]:
     """Cluster every tile of a [t, h, w, c] stack into about ``k_desired`` segments.
 
-    Each sweep assigns the pixels of the tiles still sweeping to their
-    centers (``assign_pixels``) and moves every occupied center to its
-    members' mean. A tile stops after ``MAX_ITERS`` sweeps, or earlier
-    once the displacement of its centers together drops below
-    ``CONVERGENCE_EPS``; only then is its ``converged`` set. The bound
-    does not scale with the center count, so few 64x64 tiles (k=64, m=2)
-    of ``dcn synth`` scenes reach it: 4 of the 640 tiles of 512 px scenes
-    with seeds 1-10, and 3 of the 160 tiles of 128 px scenes with seeds
-    1-40. Every other tile runs all ``MAX_ITERS`` sweeps. Fragments are
-    merged afterwards, tile by tile. Every tile's map, motion and
-    ``converged`` are those it gets when segmented on its own.
+    Every tile runs ``MAX_ITERS`` sweeps. Each sweep assigns the pixels
+    to their centers (``assign_pixels``) and moves every occupied center,
+    position and features at once, to its members' mean. Fragments are
+    merged afterwards, tile by tile. Every tile's map and motion are
+    those it gets when segmented on its own.
     """
     feat = np.asarray(features, dtype=np.float64)
     if feat.ndim != 4:
@@ -472,50 +464,31 @@ def slic_segment_batch(features, params: SlicParams) -> list[SuperpixelMap]:
 
     positions, cfeats, s_grid = seed_centers(feat, k)
     n = positions.shape[1]
-    ys, xs = np.mgrid[0:h, 0:w]
-    ys, xs = np.tile(ys.ravel(), t), np.tile(xs.ravel(), t)
-    labels = np.empty((t, h, w), dtype=np.int64)
-    motion: list[list[float]] = [[] for _ in range(t)]
-    converged = np.zeros(t, dtype=bool)
-    active = np.arange(t)  # tiles still sweeping
+    # Achanta's 5-D center vector, position (y, x) then features; tile i
+    # owns rows i*n + [0, n), and every pixel is a point in the same space
+    per_tile = np.concatenate([positions, cfeats], axis=2)
+    centers = per_tile.reshape(t * n, 2 + c)  # a view: updates reach per_tile
+    grid = np.stack(np.mgrid[0:h, 0:w], axis=2).astype(np.float64)
+    points = np.concatenate([np.broadcast_to(grid, (t, h, w, 2)), feat], axis=3)
+    points = points.reshape(-1, 2 + c)
+    offsets = (np.arange(t) * n)[:, None, None]
+    motion = np.empty((MAX_ITERS, t))
 
-    for _ in range(MAX_ITERS):
-        a = len(active)
-        sub = feat[active]
-        swept = assign_pixels(sub, positions[active], cfeats[active], s_grid, params.m)
-        labels[active] = swept
-        # one label space over the active tiles: tile j's centers are j*n + [0, n)
-        flat = (swept + (np.arange(a) * n)[:, None, None]).ravel()
-        counts = np.bincount(flat, minlength=a * n)
-        csum = _label_sums(flat, sub.reshape(-1, c), a * n)
-        ysum = np.bincount(flat, weights=ys[: flat.size], minlength=a * n)
-        xsum = np.bincount(flat, weights=xs[: flat.size], minlength=a * n)
-
+    for sweep in range(MAX_ITERS):
+        labels = assign_pixels(feat, per_tile[..., :2], per_tile[..., 2:], s_grid, params.m)
+        flat = (labels + offsets).ravel()
+        counts = np.bincount(flat, minlength=t * n)
         occupied = counts > 0
-        old = positions[active].reshape(-1, 2)
-        new = old.copy()
-        new[occupied, 0] = ysum[occupied] / counts[occupied]
-        new[occupied, 1] = xsum[occupied] / counts[occupied]
-        moved = cfeats[active].reshape(-1, c)
-        moved[occupied] = csum[occupied] / counts[occupied, None]
-        positions[active] = new.reshape(a, n, 2)
-        cfeats[active] = moved.reshape(a, n, c)
-
-        step = np.sqrt(((new - old) ** 2).sum(axis=1)).reshape(a, n).sum(axis=1)
-        for i, value in zip(active.tolist(), step.tolist()):
-            motion[i].append(value)
-        settled = step < CONVERGENCE_EPS
-        converged[active[settled]] = True
-        active = active[~settled]
-        if not active.size:
-            break
+        old = centers[:, :2].copy()
+        sums = _label_sums(flat, points, t * n)
+        centers[occupied] = sums[occupied] / counts[occupied, None]
+        step = np.sqrt(((centers[:, :2] - old) ** 2).sum(axis=1))
+        motion[sweep] = step.reshape(t, n).sum(axis=1)
 
     min_size = MIN_SIZE_FACTOR * (h * w / k)
     return [
         SuperpixelMap.from_labels(
-            _merge_fragments(labels[i], min_size),
-            center_motion=tuple(motion[i]),
-            converged=bool(converged[i]),
+            _merge_fragments(labels[i], min_size), center_motion=tuple(motion[:, i].tolist())
         )
         for i in range(t)
     ]

@@ -275,6 +275,38 @@ class TestTrain:
         assert not entered
 
 
+class TestOutputDirectories:
+    """An output in a missing directory fails before any raster is segmented."""
+
+    @pytest.fixture(autouse=True)
+    def no_segmentation(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("segmentation ran before the output check")
+
+        for name in ("slic_segment", "slic_segment_batch"):
+            monkeypatch.setattr(sys.modules["dcn.superpixel"], name, refuse)
+
+    @pytest.mark.parametrize("flag", ["--out", "--errmap"])
+    def test_predict(self, workspace, tmp_path, capsys, flag):
+        paths = {"--out": str(tmp_path / "p.bmsr"), "--errmap": str(tmp_path / "e.ppm")}
+        paths[flag] = str(tmp_path / "nope" / os.path.basename(paths[flag]))
+        argv = ["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
+                "--truth", _mask(workspace, 0)]
+        code = cli.run(argv + [arg for pair in paths.items() for arg in pair])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert flag in err and paths[flag] in err
+        assert not os.path.exists(paths["--out"])
+
+    def test_slic(self, workspace, tmp_path, capsys):
+        out = str(tmp_path / "nope" / "labels.bmsr")
+        code = cli.run(["slic", "--input", _scene(workspace, 0), "--k", "16", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "--out" in err and out in err
+        assert not os.path.exists(out)
+
+
 class TestPredict:
     def test_writes_mask_and_errmap(self, workspace, tmp_path, capsys):
         pred = str(tmp_path / "pred.bmsr")
@@ -571,6 +603,27 @@ class TestExitCodes:
             assert flag in capsys.readouterr().err
             assert not os.path.exists(out)
 
+
+    def test_compactness_with_an_infinite_square_is_a_usage_error(
+        self, workspace, tmp_path, capsys
+    ):
+        # the spatial weight squares m: 1e300 used to overflow, inf to
+        # degenerate into one superpixel with numpy warnings
+        out = str(tmp_path / "x")
+        runs = [
+            (["slic", "--input", _scene(workspace, 0), "--k", "4", "--compactness", "1e300",
+              "--out", out], "--compactness"),
+            (["train", "--data", workspace["data"], "--slic-m", "1e200", "--out", out],
+             "--slic-m"),
+            (["slic", "--input", _scene(workspace, 0), "--k", "4", "--compactness", "inf",
+              "--out", out], "--compactness"),
+            (["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
+              "--slic-m", "inf", "--out", out], "--slic-m"),
+        ]
+        for argv, flag in runs:
+            assert cli.run(argv) == 1, argv
+            assert flag in capsys.readouterr().err
+            assert not os.path.exists(out)
 
 class TestThreadCap:
     def test_cap_exported_to_blas_pools(self, monkeypatch, tmp_path):

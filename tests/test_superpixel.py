@@ -11,7 +11,6 @@ from dcn import superpixel
 from dcn.autodiff import GradTape, Tensor, backward, grad_check, square, tsum
 from dcn.cli import _scene_spec
 from dcn.superpixel import (
-    CONVERGENCE_EPS,
     SlicParams,
     SuperpixelMap,
     _gradient_magnitude,
@@ -326,11 +325,11 @@ def _spiral(n):
 def _slic_add_at(feat, params):
     """Oracle: the SLIC loop on the frozen loops with np.add.at center sums.
 
-    Returns labels, motion and converged.
+    Returns labels, motion and converged (the last sweep moved no center).
     """
     h, w, _ = feat.shape
     positions, cfeats, s_grid = _seed_centers_loop(feat, params.k_desired)
-    motion, converged = [], False
+    motion = []
     for _ in range(superpixel.MAX_ITERS):
         labels = _assign_pixels_loop(feat, positions, cfeats, s_grid, params.m)
         flat = labels.ravel()
@@ -347,11 +346,8 @@ def _slic_add_at(feat, params):
         cfeats[occupied] = csum[occupied] / counts[occupied, None]
         motion.append(float(np.sqrt(((new_positions - positions) ** 2).sum(axis=1)).sum()))
         positions = new_positions
-        if motion[-1] < CONVERGENCE_EPS:
-            converged = True
-            break
     min_size = superpixel.MIN_SIZE_FACTOR * (h * w / params.k_desired)
-    return _merge_fragments_bfs(labels, min_size), tuple(motion), converged
+    return _merge_fragments_bfs(labels, min_size), tuple(motion), motion[-1] == 0.0
 
 
 class TestSlicParams:
@@ -366,6 +362,9 @@ class TestSlicParams:
             SlicParams(k_desired=4, m=0.0)
         with pytest.raises(ValueError):
             SlicParams(k_desired=4, m=-1.0)
+        for m in (float("inf"), 1e200):  # the spatial weight squares m
+            with pytest.raises(ValueError, match="finite square"):
+                SlicParams(k_desired=4, m=m)
 
 
 class TestSuperpixelMapConstruction:
@@ -933,15 +932,26 @@ class TestSlicSegmentBatch:
                 monkeypatch.setattr(superpixel, "SWEEP_BLOCK_CELLS", int(rng.choice([300, 1 << 15])))
                 self._check_against_oracle(feat, params, f"c {c} trial {trial}")
 
-    def test_early_and_never_converging_tiles_share_a_stack(self):
-        # constant tiles settle after two sweeps and stop; synthetic tiles
-        # keep sweeping around them to MAX_ITERS
+    def test_early_and_never_converging_tiles_share_a_stack(self, monkeypatch):
+        # constant tiles settle after two sweeps; synthetic tiles keep
+        # moving beside them; every tile runs MAX_ITERS sweeps
         synth = _synth_tiles(seeds=(2,))
         flat = np.zeros((64, 64, 6))
         stack = np.stack([synth[0], flat, synth[1], flat + 0.5])
-        maps = self._check_against_oracle(stack, SlicParams(k_desired=64, m=2.0), "mixed")
+        params = SlicParams(k_desired=64, m=2.0)
+        maps = self._check_against_oracle(stack, params, "mixed")
         assert [sp.converged for sp in maps] == [False, True, False, True]
-        assert [len(sp.center_motion) for sp in maps] == [10, 2, 10, 2]
+        assert [len(sp.center_motion) for sp in maps] == [10, 10, 10, 10]
+        # a fixed point stays fixed: sweeps past the first that moved no
+        # center move none and change no label
+        for i, sp in enumerate(maps):
+            if not sp.converged:
+                continue
+            settled = sp.center_motion.index(0.0) + 1
+            assert sp.center_motion[settled:] == (0.0,) * (10 - settled), f"tile {i}"
+            monkeypatch.setattr(superpixel, "MAX_ITERS", settled)
+            early = slic_segment(stack[i], params)
+            np.testing.assert_array_equal(sp.labels, early.labels, err_msg=f"tile {i}")
 
     def test_chunks_of_a_stack_match_the_whole_stack(self):
         # seven tiles in chunks of three: the last chunk holds one tile
