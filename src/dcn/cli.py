@@ -7,7 +7,6 @@ numpy first loads.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -153,12 +152,6 @@ def _positive(value, flag):
     return value
 
 
-def _compactness(value, flag):
-    """A SLIC compactness m: positive, with the finite square SlicParams needs."""
-    if not (value > 0 and math.isfinite(value * value)):  # also rejects nan and inf
-        raise UsageError(f"{flag} must be positive with a finite square, got {value}")
-
-
 def _non_negative(value, flag):
     if value < 0:
         raise UsageError(f"{flag} must be >= 0, got {value}")
@@ -171,16 +164,23 @@ def _check_output_dirs(*outputs):
             raise DataError(f"{flag} {path}: no such directory")
 
 
-def _slic_params(args, window):
-    """SlicParams from --slic-k (default: one superpixel per 64 pixels) and --slic-m."""
+def _slic(k, m, m_flag):
+    """SlicParams of a checked positive k; a compactness it refuses is a usage error."""
     from .superpixel import SlicParams
 
+    try:
+        return SlicParams(k_desired=k, m=m)
+    except ValueError as err:
+        raise UsageError(f"{m_flag}: {err}") from None
+
+
+def _slic_params(args, window):
+    """SlicParams from --slic-k (default: one superpixel per 64 pixels) and --slic-m."""
     pixels = window * window
     k = args.slic_k if args.slic_k is not None else pixels // 64
     _positive(k, "--slic-k")
     _at_most_pixels(k, "--slic-k", pixels)
-    _compactness(args.slic_m, "--slic-m")
-    return SlicParams(k_desired=k, m=args.slic_m)
+    return _slic(k, args.slic_m, "--slic-m")
 
 
 def cmd_synth(args):
@@ -209,10 +209,10 @@ def cmd_slic(args):
     import numpy as np
 
     from .data import Band, RasterStack, read_bmsr, write_bmsr
-    from .superpixel import SlicParams, slic_segment, zscore_features
+    from .superpixel import slic_segment, zscore_features
 
     _positive(args.k, "--k")
-    _compactness(args.compactness, "--compactness")
+    params = _slic(args.k, args.compactness, "--compactness")
     _check_output_dirs(("--out", args.out))
     stack = _with_ndvi(read_bmsr(args.input))
     _at_most_pixels(args.k, "--k", stack.width * stack.height)
@@ -220,7 +220,7 @@ def cmd_slic(args):
     if not roles:
         raise DataError(f"--input {args.input} has no feature bands")
     features = zscore_features(stack.select(roles))
-    spmap = slic_segment(features, SlicParams(k_desired=args.k, m=args.compactness))
+    spmap = slic_segment(features, params)
     labels = RasterStack(
         width=stack.width,
         height=stack.height,

@@ -6,9 +6,9 @@ seeded cluster center under a combined feature/spatial distance, centers
 move to their segment means, and tiny or disconnected fragments are
 merged into neighbouring segments afterwards. A stack of equally sized
 tiles is clustered at once, each tile as it would be on its own.
-``superpixel_mean`` pools
-per-pixel descriptors into per-segment descriptors differentiably, so a
-loss on segments backpropagates to every member pixel.
+``superpixel_mean`` pools per-pixel descriptors into per-segment
+descriptors differentiably, so a loss on segments backpropagates to
+every member pixel.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class SlicParams:
     """Clustering knobs: segment count target and compactness trade-off.
 
     ``m`` weights spatial distance against feature distance; larger
-    values yield more compact, grid-like segments. ``m * m`` must be
-    finite: the spatial weight ``(m / S)**2`` uses it, and S >= 1.
+    values yield more compact, grid-like segments. ``32 * m * m`` must
+    be finite: a sweep scores cells within 2S+1 of their center on each
+    axis, so its spatial term is at most ``18 * m * m`` for S >= 1.
     """
 
     k_desired: int
@@ -54,8 +55,8 @@ class SlicParams:
     def __post_init__(self) -> None:
         if self.k_desired < 1:
             raise ValueError(f"k_desired must be positive, got {self.k_desired}")
-        if not (self.m > 0 and math.isfinite(self.m * self.m)):  # also rejects nan
-            raise ValueError(f"compactness m must be positive with a finite square, got {self.m}")
+        if not (self.m > 0 and math.isfinite(32 * float(self.m) * float(self.m))):  # nan too
+            raise ValueError(f"compactness m must be positive with 32 * m * m finite, got {self.m}")
 
 
 @dataclass
@@ -150,10 +151,14 @@ def _gradient_magnitude(feat: np.ndarray) -> np.ndarray:
     if h >= 3 and w >= 3:
         dy = feat[..., 2:, 1:-1, :] - feat[..., :-2, 1:-1, :]
         dx = feat[..., 1:-1, 2:, :] - feat[..., 1:-1, :-2, :]
-        inner = np.zeros((*lead, h - 2, w - 2))
-        inner += (dy ** 2).sum(axis=-1) + (dx ** 2).sum(axis=-1)
-        g[..., 1:-1, 1:-1] = inner
+        g[..., 1:-1, 1:-1] = (dy ** 2).sum(axis=-1) + (dx ** 2).sum(axis=-1)
     return g
+
+
+def _seed_grid(h: int, w: int, k: int) -> tuple[int, int, float]:
+    """The seed grid of about k cells on an h x w tile: (ny, nx, S_grid)."""
+    s_grid = float(np.sqrt(h * w / k))
+    return max(1, int(round(h / s_grid))), max(1, int(round(w / s_grid))), s_grid
 
 
 def seed_centers(feat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -167,9 +172,7 @@ def seed_centers(feat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, floa
     S_grid); every tile gets the same n centers and spacing.
     """
     t, h, w, _ = feat.shape
-    s_grid = float(np.sqrt(h * w / k))
-    nx = max(1, int(round(w / s_grid)))
-    ny = max(1, int(round(h / s_grid)))
+    ny, nx, s_grid = _seed_grid(h, w, k)
     grad = _gradient_magnitude(feat)
 
     gy = np.clip(((np.arange(ny) + 0.5) * h / ny).astype(np.int64), 0, h - 1)
@@ -179,9 +182,8 @@ def seed_centers(feat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, floa
     xs = np.tile(gx, ny)[:, None] + np.tile(step, 3)
     inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
     g = np.where(inside, grad[:, np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)], np.inf)
-    # np.argmin semantics within the clipped window: a NaN counts as the minimum
     low = g.min(axis=2, keepdims=True)
-    pick = (inside & ((g == low) | np.isnan(g))).argmax(axis=2)  # [t, n]
+    pick = (inside & (g == low)).argmax(axis=2)  # [t, n]
     seeds = np.arange(len(ys))
     py, px = ys[seeds, pick], xs[seeds, pick]
     positions = np.stack([py, px], axis=2).astype(np.float64)
@@ -194,6 +196,7 @@ def assign_pixels(
     center_feats: np.ndarray,
     s_grid: float,
     m: float,
+    labels: np.ndarray,
 ) -> np.ndarray:
     """One assignment sweep over a [t, h, w, c] stack: [t, h, w] labels.
 
@@ -203,14 +206,12 @@ def assign_pixels(
     center searches the 2S x 2S window of Achanta et al. (TPAMI 2012):
     the pixels within ``s_grid`` of it along each axis. The combined
     distance is ``sqrt(d_feat + (m / s_grid)**2 * d_xy)`` with ``d_xy``
-    the squared spatial distance; ``d_feat`` adds the
-    per-channel squared feature differences one channel at a time, in
-    channel order (below 8 channels, the same bits as numpy's last-axis
-    ``sum``). A pixel joins the center at the smallest distance, exact
-    ties resolve to the lowest center index and a NaN distance never
-    wins. Pixels outside every search window of their tile fall back to
-    a nearest-center pass over all that tile's centers, which sums
-    channels with numpy's ``sum``.
+    the squared spatial distance; ``d_feat`` adds the per-channel
+    squared feature differences one channel at a time, in channel
+    order. A pixel that some window of its tile covers joins the center
+    at the smallest distance, exact ties resolving to the lowest center
+    index. Every other pixel keeps its label in ``labels``, the
+    previous [t, h, w] labels, as in Achanta's reference implementation.
 
     The centers of all tiles are numbered tile after tile and scored in
     blocks (about ``SWEEP_BLOCK_CELLS`` cells): per channel, a
@@ -224,18 +225,18 @@ def assign_pixels(
     t, h, w, c = feat.shape
     n = positions.shape[1]
     spatial_w = (m / s_grid) ** 2
-    reach = s_grid
     cy, cx = positions[..., 0].ravel(), positions[..., 1].ravel()
     tile_of = np.repeat(np.arange(t), n)
     # np.trunc, like int(), rounds toward zero for centers off the image
-    y0 = np.maximum(0, np.trunc(cy - reach).astype(np.int64))
-    y1 = np.minimum(h, np.trunc(cy + reach).astype(np.int64) + 1)
-    x0 = np.maximum(0, np.trunc(cx - reach).astype(np.int64))
-    x1 = np.minimum(w, np.trunc(cx + reach).astype(np.int64) + 1)
+    y0 = np.maximum(0, np.trunc(cy - s_grid).astype(np.int64))
+    y1 = np.minimum(h, np.trunc(cy + s_grid).astype(np.int64) + 1)
+    x0 = np.maximum(0, np.trunc(cx - s_grid).astype(np.int64))
+    x1 = np.minimum(w, np.trunc(cx + s_grid).astype(np.int64) + 1)
     live = np.flatnonzero((y0 < y1) & (x0 < x1))
 
+    offsets = np.arange(t)[:, None, None] * n  # each tile counts its centers from 0
     best = np.full(t * h * w, np.inf)  # per pixel: best distance, winning center
-    winner = np.full(t * h * w, -1)
+    winner = (labels + offsets).ravel()
     if live.size:
         wy, wx = int((y1 - y0)[live].max()), int((x1 - x0)[live].max())
         planes = np.zeros((c, t, h + wy - 1, w + wx - 1))
@@ -271,7 +272,7 @@ def assign_pixels(
             pix = row_at[:, :, None] + col_at[:, None, :]
             pix = np.minimum(pix, band, out=pix).ravel()
             block_best = np.full(band + 1, np.inf)
-            np.fmin.at(block_best, pix, d)  # a NaN distance is skipped
+            np.minimum.at(block_best, pix, d)
             tied = np.flatnonzero(d == block_best[pix])
             block_winner = np.full(band + 1, t * n)
             np.minimum.at(block_winner, pix[tied], idx[tied // (wy * wx)])
@@ -281,17 +282,7 @@ def assign_pixels(
             closer = block_best[:-1] < best[span]
             best[span][closer] = block_best[:-1][closer]
             winner[span][closer] = block_winner[:-1][closer]
-    labels = winner.reshape(t, h, w)
-    missed = labels < 0
-    labels -= np.arange(t)[:, None, None] * n  # each tile counts its centers from 0
-    if missed.any():
-        ts, ys, xs = np.nonzero(missed)
-        pts = feat[missed]
-        d_feat = ((pts[:, None, :] - center_feats[ts]) ** 2).sum(axis=-1)
-        d_xy = (ys[:, None] - positions[ts, :, 0]) ** 2 + (xs[:, None] - positions[ts, :, 1]) ** 2
-        d = np.sqrt(d_feat + spatial_w * d_xy)
-        labels[missed] = d.argmin(axis=1)
-    return labels
+    return winner.reshape(t, h, w) - offsets
 
 
 def _window_distances(
@@ -446,17 +437,20 @@ def slic_segment(features: np.ndarray, params: SlicParams) -> SuperpixelMap:
 def slic_segment_batch(features, params: SlicParams) -> list[SuperpixelMap]:
     """Cluster every tile of a [t, h, w, c] stack into about ``k_desired`` segments.
 
-    Every tile runs ``MAX_ITERS`` sweeps. Each sweep assigns the pixels
-    to their centers (``assign_pixels``) and moves every occupied center,
-    position and features at once, to its members' mean. Fragments are
-    merged afterwards, tile by tile. Every tile's map and motion are
-    those it gets when segmented on its own.
+    Every tile runs ``MAX_ITERS`` sweeps from labels on the seeds' grid
+    cells. Each sweep reassigns the pixels some window covers
+    (``assign_pixels``) and moves every occupied center, position and
+    features at once, to its members' mean. Fragments are merged
+    afterwards, tile by tile. Every tile's map and motion are those it
+    gets when segmented on its own. The features must be finite.
     """
     feat = np.asarray(features, dtype=np.float64)
     if feat.ndim != 4:
         raise ValueError(f"expected [t, h, w, c] features, got shape {feat.shape}")
     if feat.size == 0:
         raise ValueError("features must be non-empty")
+    if not np.isfinite(feat).all():
+        raise ValueError("features must be finite")
     t, h, w, c = feat.shape
     k = params.k_desired
     if k > h * w:
@@ -473,9 +467,12 @@ def slic_segment_batch(features, params: SlicParams) -> list[SuperpixelMap]:
     points = points.reshape(-1, 2 + c)
     offsets = (np.arange(t) * n)[:, None, None]
     motion = np.empty((MAX_ITERS, t))
+    ny, nx, _ = _seed_grid(h, w, k)
+    cells = (np.arange(h) * ny // h)[:, None] * nx + np.arange(w) * nx // w
+    labels = np.broadcast_to(cells, (t, h, w))
 
     for sweep in range(MAX_ITERS):
-        labels = assign_pixels(feat, per_tile[..., :2], per_tile[..., 2:], s_grid, params.m)
+        labels = assign_pixels(feat, per_tile[..., :2], per_tile[..., 2:], s_grid, params.m, labels)
         flat = (labels + offsets).ravel()
         counts = np.bincount(flat, minlength=t * n)
         occupied = counts > 0

@@ -625,6 +625,31 @@ class TestExitCodes:
             assert flag in capsys.readouterr().err
             assert not os.path.exists(out)
 
+    def test_compactness_past_the_spatial_term_bound_is_a_usage_error(
+        self, workspace, tmp_path, capsys
+    ):
+        # m * m is finite here, but a sweep's spatial term reaches 18 * m * m,
+        # which overflowed at k=64 and k=4 on a 64 px scene
+        out = str(tmp_path / "x")
+        runs = [
+            (["slic", "--input", _scene(workspace, 0), "--k", "64", "--compactness", "1.3e154",
+              "--out", out], "--compactness"),
+            (["slic", "--input", _scene(workspace, 0), "--k", "4", "--compactness", "1e154",
+              "--out", out], "--compactness"),
+            (["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
+              "--slic-m", "1.3e154", "--out", out], "--slic-m"),
+            # refused before any raster is read
+            (["slic", "--input", str(tmp_path / "missing.bmsr"), "--k", "4",
+              "--compactness", "1e154", "--out", out], "--compactness"),
+            (["predict", "--model", workspace["model"], "--input", str(tmp_path / "missing.bmsr"),
+              "--slic-m", "1.3e154", "--out", out], "--slic-m"),
+        ]
+        for argv, flag in runs:
+            assert cli.run(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert flag in err and "32 * m * m" in err, err
+            assert not os.path.exists(out)
+
 class TestThreadCap:
     def test_cap_exported_to_blas_pools(self, monkeypatch, tmp_path):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

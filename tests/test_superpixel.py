@@ -1,5 +1,8 @@
 """Superpixel clustering and pooling against flood-fill and loop oracles."""
 
+import math
+import sys
+import warnings
 from collections import deque
 from functools import reduce
 
@@ -123,9 +126,34 @@ def _seed_one(feat, k):
     return positions[0], cfeats[0], s_grid
 
 
-def _assign_one(feat, positions, center_feats, s_grid, m):
-    """assign_pixels on a stack of one [h, w, c] tile, unstacked."""
-    return assign_pixels(feat[None], positions[None], center_feats[None], s_grid, m)[0]
+def _assign_one(feat, positions, center_feats, s_grid, m, labels=None):
+    """assign_pixels on a stack of one [h, w, c] tile, unstacked.
+
+    ``labels`` defaults to the seed-grid cells, the labels before sweep 1.
+    """
+    if labels is None:
+        labels = _seed_grid_cells(feat.shape[0], feat.shape[1], s_grid)
+    stack = feat[None], positions[None], center_feats[None]
+    return assign_pixels(*stack, s_grid, m, labels[None])[0]
+
+
+def _seed_grid_cells(h, w, s_grid):
+    """Frozen oracle: each pixel's cell of the ny x nx seed grid, numbered row-major.
+
+    Cell (j, i) holds the pixels with j*h/ny <= y < (j+1)*h/ny and
+    i*w/nx <= x < (i+1)*w/nx, compared in integers.
+    """
+    ny = max(1, int(round(h / s_grid)))
+    nx = max(1, int(round(w / s_grid)))
+    ys, xs = np.mgrid[0:h, 0:w]
+    cells = np.full((h, w), -1, dtype=np.int64)
+    for j in range(ny):
+        for i in range(nx):
+            inside = (j * h <= ys * ny) & (ys * ny < (j + 1) * h)
+            inside &= (i * w <= xs * nx) & (xs * nx < (i + 1) * w)
+            cells[inside] = j * nx + i
+    assert (cells >= 0).all()
+    return cells
 
 
 def _seed_centers_loop(feat, k):
@@ -165,11 +193,16 @@ def _sequential_channel_sum(sq):
     return reduce(np.add, np.moveaxis(sq, -1, 0))
 
 
-def _assign_pixels_loop(feat, positions, center_feats, s_grid, m, window_sum=_channel_sum):
-    """Frozen oracle: one Python iteration per center, strict < keeps the lower index."""
+def _assign_pixels_loop(
+    feat, positions, center_feats, s_grid, m, labels, window_sum=_channel_sum
+):
+    """Frozen oracle: one Python iteration per center, strict < keeps the lower index.
+
+    A pixel outside every window keeps its label in ``labels``.
+    """
     h, w, _ = feat.shape
     best = np.full((h, w), np.inf)
-    labels = np.full((h, w), -1, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)
     spatial_w = (m / s_grid) ** 2
     reach = s_grid
 
@@ -187,18 +220,13 @@ def _assign_pixels_loop(feat, positions, center_feats, s_grid, m, window_sum=_ch
         closer = d < best[y0:y1, x0:x1]
         best[y0:y1, x0:x1] = np.where(closer, d, best[y0:y1, x0:x1])
         labels[y0:y1, x0:x1] = np.where(closer, idx, labels[y0:y1, x0:x1])
-
-    missed = labels < 0
-    if missed.any():
-        pts = feat[missed]
-        ys, xs = np.nonzero(missed)
-        d_feat = ((pts[:, None, :] - center_feats[None, :, :]) ** 2).sum(axis=-1)
-        d_xy = (ys[:, None] - positions[None, :, 0]) ** 2 + (
-            xs[:, None] - positions[None, :, 1]
-        ) ** 2
-        d = np.sqrt(d_feat + spatial_w * d_xy)
-        labels[missed] = d.argmin(axis=1)
     return labels
+
+
+def _kept_pixels(feat, positions, center_feats, s_grid, m):
+    """Pixels the frozen loop leaves on their prior label -1: those in no window."""
+    no_label = np.full(feat.shape[:2], -1)
+    return _assign_pixels_loop(feat, positions, center_feats, s_grid, m, no_label) < 0
 
 
 def _merge_fragments_bfs(labels, min_size):
@@ -274,18 +302,6 @@ def _merge_fragments_bfs(labels, min_size):
     return root_of[comp]
 
 
-def _uncovered(h, w, positions, s_grid):
-    """Pixels outside every center's search window, from the window geometry."""
-    covered = np.zeros((h, w), dtype=bool)
-    reach = s_grid
-    for cy, cx in positions:
-        y0, y1 = max(0, int(cy - reach)), min(h, int(cy + reach) + 1)
-        x0, x1 = max(0, int(cx - reach)), min(w, int(cx + reach) + 1)
-        if y0 < y1 and x0 < x1:
-            covered[y0:y1, x0:x1] = True
-    return ~covered
-
-
 def _synth_tiles(seeds, size=128, tile=64):
     """z-scored 64x64x6 feature tiles cut from synthetic scenes, as dcn predict sees them."""
     bands = ("RED", "GREEN", "BLUE", "NIR", "NDVI", "DSM")
@@ -329,9 +345,10 @@ def _slic_add_at(feat, params):
     """
     h, w, _ = feat.shape
     positions, cfeats, s_grid = _seed_centers_loop(feat, params.k_desired)
+    labels = _seed_grid_cells(h, w, s_grid)
     motion = []
     for _ in range(superpixel.MAX_ITERS):
-        labels = _assign_pixels_loop(feat, positions, cfeats, s_grid, params.m)
+        labels = _assign_pixels_loop(feat, positions, cfeats, s_grid, params.m, labels)
         flat = labels.ravel()
         counts = np.bincount(flat, minlength=len(positions))
         csum = np.zeros_like(cfeats)
@@ -362,8 +379,12 @@ class TestSlicParams:
             SlicParams(k_desired=4, m=0.0)
         with pytest.raises(ValueError):
             SlicParams(k_desired=4, m=-1.0)
-        for m in (float("inf"), 1e200):  # the spatial weight squares m
-            with pytest.raises(ValueError, match="finite square"):
+        # a sweep's spatial term reaches 18 * m * m
+        largest = math.sqrt(sys.float_info.max / 32)
+        assert SlicParams(k_desired=4, m=largest).m == largest
+        too_large = (1e200, 1.3e154, 1e154, np.float64(1e154), math.nextafter(largest, math.inf))
+        for m in (float("inf"), *too_large):
+            with pytest.raises(ValueError, match=r"32 \* m \* m finite"):
                 SlicParams(k_desired=4, m=m)
 
 
@@ -579,20 +600,14 @@ class TestSeedCenters:
                 np.testing.assert_array_equal(cfeats[i], want[1], err_msg=f"case {case}")
                 assert s_grid == want[2]
 
-    def test_nan_gradient_wins_like_argmin(self):
-        feat = np.zeros((9, 9, 2))
-        feat[5, 5, 0] = np.nan  # NaN gradients at (4, 5) and (5, 4): not first in the window
-        got = _seed_one(feat, 1)
-        want = _seed_centers_loop(feat, 1)
-        np.testing.assert_array_equal(got[0], want[0])
-
 
 class TestAssignPixels:
     def test_matches_frozen_loop_with_jittered_centers(self):
-        # centers off the grid, some off the image, so the global fallback
-        # runs; half the cases rounded to one decimal to force exact ties
+        # centers off the grid, some off the image, so some pixels lie in
+        # no window and keep their prior label; half the cases rounded to
+        # one decimal to force exact ties
         rng = np.random.default_rng(344)
-        fallbacks = 0
+        uncovered = 0
         for case in range(200):
             h, w = int(rng.integers(6, 71)), int(rng.integers(6, 71))
             feat = rng.normal(size=(h, w, int(rng.integers(1, 8))))
@@ -607,13 +622,36 @@ class TestAssignPixels:
             if not case % 2:
                 cfeats = cfeats + rng.normal(scale=0.1, size=cfeats.shape)
             m = float(rng.choice([0.5, 2.0, 10.0]))
-            fallbacks += bool(_uncovered(h, w, positions, s_grid).any())
+            prior = rng.integers(0, len(positions), size=(h, w))
+            uncovered += bool(_kept_pixels(feat, positions, cfeats, s_grid, m).any())
             np.testing.assert_array_equal(
-                _assign_one(feat, positions, cfeats, s_grid, m),
-                _assign_pixels_loop(feat, positions, cfeats, s_grid, m),
+                _assign_one(feat, positions, cfeats, s_grid, m, prior),
+                _assign_pixels_loop(feat, positions, cfeats, s_grid, m, prior),
                 err_msg=f"case {case}",
             )
-        assert fallbacks >= 10, fallbacks
+        assert uncovered >= 10, uncovered
+
+    def test_pixels_in_no_window_keep_their_labels(self):
+        # a third of the centers jump by S to 4S, leaving pixels that no
+        # window covers; those keep the labels they came in with, the rest
+        # get the frozen loop's labels
+        rng = np.random.default_rng(352)
+        kept = 0
+        for case in range(60):
+            h, w = int(rng.integers(6, 41)), int(rng.integers(6, 41))
+            feat = np.round(rng.normal(size=(h, w, int(rng.integers(1, 8)))), 1)
+            positions, cfeats, s_grid = _seed_one(feat, int(rng.integers(1, h * w // 8 + 2)))
+            shift = rng.choice([-1.0, 1.0], size=2) * rng.uniform(s_grid, 4 * s_grid)
+            positions[: max(1, len(positions) // 3)] += shift
+            prior = rng.integers(0, len(positions), size=(h, w))
+            uncovered = _kept_pixels(feat, positions, cfeats, s_grid, 2.0)
+            got = _assign_one(feat, positions, cfeats, s_grid, 2.0, prior)
+            np.testing.assert_array_equal(got[uncovered], prior[uncovered], err_msg=f"case {case}")
+            np.testing.assert_array_equal(
+                got, _assign_pixels_loop(feat, positions, cfeats, s_grid, 2.0, prior)
+            )
+            kept += int(uncovered.sum())
+        assert kept >= 100, kept
 
     def test_blocks_of_centers_match_one_block(self, monkeypatch):
         # a block smaller than one window scores each center on its own,
@@ -625,19 +663,21 @@ class TestAssignPixels:
             feat = np.round(rng.normal(size=(h, w, int(rng.integers(1, 8)))), 1)
             positions, cfeats, s_grid = _seed_one(feat, int(rng.integers(1, h * w // 8 + 2)))
             positions = positions + rng.normal(scale=s_grid, size=positions.shape)
-            want = _assign_pixels_loop(feat, positions, cfeats, s_grid, 2.0)
+            prior = rng.integers(0, len(positions), size=(h, w))
+            want = _assign_pixels_loop(feat, positions, cfeats, s_grid, 2.0, prior)
             for cells in (1, 300, 1 << 30):
                 monkeypatch.setattr(superpixel, "SWEEP_BLOCK_CELLS", cells)
-                got = _assign_one(feat, positions, cfeats, s_grid, 2.0)
+                got = _assign_one(feat, positions, cfeats, s_grid, 2.0, prior)
                 np.testing.assert_array_equal(got, want, err_msg=f"case {case} cells {cells}")
 
     def test_stacked_tiles_match_frozen_loop_per_tile(self, monkeypatch):
         # each tile of a stack gets the frozen loop's labels on its own; in
         # every other stack a third of the first tile's centers leave the
-        # image, so its global fallback runs beside tiles without one; blocks
-        # of 300 cells split the centers unevenly and cross tile borders
+        # image, so its pixels in no window keep their labels beside tiles
+        # without any; blocks of 300 cells split the centers unevenly and
+        # cross tile borders
         rng = np.random.default_rng(350)
-        fallbacks = 0
+        uncovered = 0
         for case in range(40):
             t, h, w = int(rng.integers(1, 6)), int(rng.integers(6, 41)), int(rng.integers(6, 41))
             feat = rng.normal(size=(t, h, w, int(rng.integers(1, 8))))
@@ -650,34 +690,21 @@ class TestAssignPixels:
                 positions[0, : max(1, positions.shape[1] // 3)] += shift
             m = float(rng.choice([0.5, 2.0, 10.0]))
             monkeypatch.setattr(superpixel, "SWEEP_BLOCK_CELLS", int(rng.choice([300, 1 << 15])))
-            got = assign_pixels(feat, positions, cfeats, s_grid, m)
+            prior = rng.integers(0, positions.shape[1], size=(t, h, w))
+            got = assign_pixels(feat, positions, cfeats, s_grid, m, prior)
             for i in range(t):
-                fallbacks += bool(_uncovered(h, w, positions[i], s_grid).any())
-                want = _assign_pixels_loop(feat[i], positions[i], cfeats[i], s_grid, m)
+                uncovered += bool(_kept_pixels(feat[i], positions[i], cfeats[i], s_grid, m).any())
+                want = _assign_pixels_loop(feat[i], positions[i], cfeats[i], s_grid, m, prior[i])
                 np.testing.assert_array_equal(got[i], want, err_msg=f"case {case} tile {i}")
-        assert fallbacks >= 5, fallbacks
+        assert uncovered >= 5, uncovered
 
     def test_every_center_off_the_image(self):
         rng = np.random.default_rng(345)
         feat = rng.normal(size=(12, 10, 3))
         positions = np.array([[-30.0, 4.0], [5.0, 40.0], [-12.5, -9.0]])
         cfeats = rng.normal(size=(3, 3))
-        assert _uncovered(12, 10, positions, 2.0).all()
-        np.testing.assert_array_equal(
-            _assign_one(feat, positions, cfeats, 2.0, 1.0),
-            _assign_pixels_loop(feat, positions, cfeats, 2.0, 1.0),
-        )
-
-    def test_nan_distance_never_wins(self):
-        rng = np.random.default_rng(348)
-        feat = np.round(rng.normal(size=(20, 20, 3)), 1)
-        feat[3, 4, 1] = np.nan  # every distance of this pixel is NaN
-        positions, cfeats, s_grid = _seed_one(np.nan_to_num(feat), 16)
-        cfeats[5, 0] = np.nan  # so is every distance to this center
-        np.testing.assert_array_equal(
-            _assign_one(feat, positions, cfeats, s_grid, 2.0),
-            _assign_pixels_loop(feat, positions, cfeats, s_grid, 2.0),
-        )
+        prior = rng.integers(0, 3, size=(12, 10))
+        np.testing.assert_array_equal(_assign_one(feat, positions, cfeats, 2.0, 1.0, prior), prior)
 
     def test_sums_channels_in_order_from_eight_channels_on(self):
         # past 7 channels numpy's last-axis sum pairs terms up; the sweep
@@ -690,8 +717,9 @@ class TestAssignPixels:
                 positions, cfeats, s_grid = _seed_one(feat, int(rng.integers(1, h * w // 8 + 2)))
                 positions = positions + rng.normal(scale=1.0, size=positions.shape)
                 cfeats = cfeats + rng.normal(scale=0.3, size=cfeats.shape)
+                grid = _seed_grid_cells(h, w, s_grid)
                 want = _assign_pixels_loop(
-                    feat, positions, cfeats, s_grid, 2.0, window_sum=_sequential_channel_sum
+                    feat, positions, cfeats, s_grid, 2.0, grid, window_sum=_sequential_channel_sum
                 )
                 got = _assign_one(feat, positions, cfeats, s_grid, 2.0)
                 np.testing.assert_array_equal(got, want, err_msg=f"c {c} trial {trial}")
@@ -707,13 +735,14 @@ class TestAssignPixels:
             cfeats[:, 0] = 1.5
             cfeats[0, 4:8] = 2.0 ** -26
             positions = np.array([[1.0, 1.0], [1.0, 1.0]])
-            got = _assign_one(feat, positions, cfeats, 1.0, 1.0)
+            prior = _seed_grid_cells(3, 3, 1.0)  # every pixel lies in both windows
+            got = _assign_one(feat, positions, cfeats, 1.0, 1.0, prior)
             want = _assign_pixels_loop(
-                feat, positions, cfeats, 1.0, 1.0, window_sum=_sequential_channel_sum
+                feat, positions, cfeats, 1.0, 1.0, prior, window_sum=_sequential_channel_sum
             )
             np.testing.assert_array_equal(got, want)
             assert (got == 0).all()
-            assert (_assign_pixels_loop(feat, positions, cfeats, 1.0, 1.0) == 1).any()
+            assert (_assign_pixels_loop(feat, positions, cfeats, 1.0, 1.0, prior) == 1).any()
 
 
 class TestSlicSegment:
@@ -883,6 +912,18 @@ class TestSlicSegment:
         assert sp.converged
         assert sp.center_motion[-1] < 1e-3
 
+    def test_largest_compactness_segments_without_a_warning(self):
+        # the spatial term of the largest accepted m stays finite at every
+        # scored cell, whether a tile holds 64 centers or 4
+        params = [SlicParams(k_desired=k, m=math.sqrt(sys.float_info.max / 32)) for k in (64, 4)]
+        feat = _synth_tiles(seeds=(3,))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in params:
+                sp = slic_segment(feat, p)
+                assert sp.n_segments >= 1
+                assert all(math.isfinite(step) for step in sp.center_motion)
+
     def test_min_size_factor_controls_fragment_merging(self, monkeypatch):
         rng = np.random.default_rng(306)
         feat = rng.normal(size=(24, 24, 1))
@@ -953,6 +994,27 @@ class TestSlicSegmentBatch:
             early = slic_segment(stack[i], params)
             np.testing.assert_array_equal(sp.labels, early.labels, err_msg=f"tile {i}")
 
+    def test_labels_before_sweep_one_are_the_seed_grid_cells(self, monkeypatch):
+        # the first sweep gets every pixel on the seed of its grid cell,
+        # on sizes the grid does not divide evenly
+        seen = []
+        real = superpixel.assign_pixels
+
+        def spy(feat, positions, center_feats, s_grid, m, labels):
+            seen.append((s_grid, positions.shape[1], np.array(labels)))
+            return real(feat, positions, center_feats, s_grid, m, labels)
+
+        monkeypatch.setattr(superpixel, "assign_pixels", spy)
+        monkeypatch.setattr(superpixel, "MAX_ITERS", 1)
+        rng = np.random.default_rng(354)
+        for t, h, w, k in ((1, 64, 64, 64), (3, 30, 17, 9), (2, 7, 40, 5), (2, 1, 9, 3)):
+            seen.clear()
+            slic_segment_batch(rng.normal(size=(t, h, w, 2)), SlicParams(k_desired=k))
+            (s_grid, n, labels), = seen
+            want = _seed_grid_cells(h, w, s_grid)
+            assert want.max() == n - 1
+            np.testing.assert_array_equal(labels, np.broadcast_to(want, (t, h, w)))
+
     def test_chunks_of_a_stack_match_the_whole_stack(self):
         # seven tiles in chunks of three: the last chunk holds one tile
         tiles = np.stack(_synth_tiles(seeds=(0, 1))[:7])
@@ -971,6 +1033,11 @@ class TestSlicSegmentBatch:
             slic_segment_batch(np.zeros((0, 8, 8, 1)), SlicParams(k_desired=4))
         with pytest.raises(ValueError):
             slic_segment_batch(np.zeros((2, 8, 8, 1)), SlicParams(k_desired=65))
+        for bad in (np.nan, np.inf, -np.inf):
+            feat = np.zeros((2, 8, 8, 3))
+            feat[1, 4, 5, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                slic_segment_batch(feat, SlicParams(k_desired=4))
 
 
 class TestSuperpixelQuality:
