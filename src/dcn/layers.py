@@ -176,39 +176,66 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     return _apply("conv2d", (x, kernel, bias), out, bwd)
 
 
+def _quads(a: np.ndarray) -> list[np.ndarray]:
+    """The four strided views of the 2x2 windows of [n, h, w, c].
+
+    Listed in flat order within a window: (0,0), (0,1), (1,0), (1,1).
+    """
+    return [a[:, dy::2, dx::2, :] for dy in (0, 1) for dx in (0, 1)]
+
+
 def maxpool2(x: Tensor) -> Tensor:
     """2x2 non-overlapping max pool of an [n, h, w, c] batch.
 
-    The gradient of each output goes to the position of its window's
-    maximum; ties go to the lowest flat position ``y * w + x``.
+    The output is the maximum of the four strided views ``x[:, dy::2,
+    dx::2, :]``, folded from the last view (1,1) down to the first (0,0)
+    so that a tie keeps the earlier view's value, as ``argmax`` would.
+    The gradient of each output goes to the first view, in the order
+    (0,0), (0,1), (1,0), (1,1), that equals it: ties go to the lowest
+    flat position ``y * w + x``. The other inputs get ``+0.0``. The
+    backward keeps only the input and output, no index array.
     """
     _check_batch("maxpool2", x)
     n, h, w, c = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 needs even extents, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
 
-    # each window's four values in flat order on axis 3: [n, h2, w2, 4, c]
-    win = x.data.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
-    k = win.argmax(axis=3)[:, :, :, None, :]
-    out = np.take_along_axis(win, k, axis=3)[:, :, :, 0, :]
+    views = _quads(x.data)
+    # np.maximum returns its second operand when the two compare equal
+    out = np.maximum(np.maximum(np.maximum(views[3], views[2]), views[1]), views[0])
 
     def bwd(g):
-        gwin = np.zeros((n, h2, w2, 4, c), dtype=g.dtype)
-        np.put_along_axis(gwin, k, g[:, :, :, None, :], axis=3)
-        return (gwin.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c),)
+        # multiplying g's bit pattern by a 0/1 mask writes g where the mask
+        # is set and all-zero bits, +0.0, elsewhere, with no float rounding
+        bits = np.dtype(f"u{g.itemsize}")
+        gbits = g.view(bits)
+        gx = np.empty((n, h, w, c), dtype=bits)
+        gviews = _quads(gx)
+        taken = np.zeros(out.shape, dtype=bool)
+        for view, gview in zip(views[:3], gviews):
+            hit = view == out
+            hit &= ~taken
+            np.multiply(gbits, hit, out=gview)
+            taken |= hit
+        np.multiply(gbits, ~taken, out=gviews[3])
+        return (gx.view(g.dtype),)
 
     return _apply("maxpool2", (x,), out, bwd)
 
 
 def upsample_nearest2(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsample of the spatial axes of an [n, h, w, c] batch."""
+    """Nearest-neighbour 2x upsample of the spatial axes of an [n, h, w, c] batch.
+
+    The input gradient sums the output gradient's four strided views as
+    ``((g00 + g01) + g10) + g11``, the order of
+    ``g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))`` bit for bit.
+    """
     _check_batch("upsample_nearest2", x)
-    n, h, w, c = x.shape
     out = x.data.repeat(2, axis=1).repeat(2, axis=2)
 
     def bwd(g):
-        return (g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4)),)
+        g00, g01, g10, g11 = _quads(g)
+        return (((g00 + g01) + g10) + g11,)
 
     return _apply("upsample_nearest2", (x,), out, bwd)
 
@@ -228,12 +255,16 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
 
     Training normalizes by batch statistics (population variance) and
     folds them into the running buffers; inference normalizes by the
-    buffers and leaves them untouched. The whole layer is one tape op
-    whose backward is the closed form of Ioffe & Szegedy (2015): with
-    ``xc = x - mean`` and ``inv = 1 / sqrt(var + BN_EPSILON)``, the
-    centred gradient is ``gy * inv + xc * 2 * gvar / N`` and the input
-    gradient is that minus its per-channel mean (training only, since
-    inference statistics are constants).
+    buffers and leaves them untouched. Every per-channel sum is one GEMV,
+    ``ones[N] @ x.reshape(N, c)`` over the contiguous ``[N, c]`` view of
+    the batch (``N = n * h * w``). The output is ``xc * (gamma * inv) +
+    beta`` with ``xc = x - mean`` and ``inv = 1 / sqrt(var + BN_EPSILON)``.
+
+    The whole layer is one tape op whose backward is the closed form of
+    Ioffe & Szegedy (2015). With ``scale = gamma * inv``, the input
+    gradient is ``g * scale`` in inference, whose statistics are
+    constants, and in training ``g * scale - xc * scale * inv**2 *
+    sum(g * xc) / N - scale * sum(g) / N``.
     """
     training = _check_phase(phase)
     if batch.data.ndim != 4:
@@ -245,11 +276,24 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
         raise ValueError("running_var must be non-negative")
     x = batch.data
     dtype = x.dtype
-    axes = (0, 1, 2)
+    n, h, w, _ = x.shape
+    count = n * h * w
+    ones = np.ones(count, dtype=dtype)
+
+    def channel_sum(a):
+        return ones @ a.reshape(count, channels)
+
+    # elementwise work runs on [n * h, w * c] rows, with each channel
+    # vector tiled along a row; broadcasting [c] itself runs numpy's inner
+    # loop only c wide
+    def along_row(v):
+        return np.tile(v, w)
+
+    rows = x.reshape(n * h, w * channels)
     if training:
-        mu = x.mean(axis=axes, dtype=dtype)
-        xc = x - mu
-        var = (xc * xc).mean(axis=axes, dtype=dtype)
+        mu = channel_sum(x) / count
+        xc = rows - along_row(mu)
+        var = channel_sum(xc * xc) / count
         m = BN_MOMENTUM
         rdtype = layer.running_mean.data.dtype
         layer.running_mean = Tensor._wrap(
@@ -260,31 +304,25 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
         )
     else:
         var = layer.running_var.data.astype(dtype)
-        xc = x - layer.running_mean.data.astype(dtype)
+        xc = rows - along_row(layer.running_mean.data.astype(dtype))
     shifted = var + np.asarray(BN_EPSILON, dtype=dtype)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        divisor = np.sqrt(shifted)
-        out = xc / divisor
-        inv = 1.0 / divisor
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / np.sqrt(shifted)
     gamma = layer.gamma.data
-    out *= gamma
-    out += layer.beta.data
-    count = x.size // channels
-
-    # the gradient reaching the normalized values is gy * gamma; ``scale``
-    # folds that factor into ``inv``
     scale = gamma * inv
+    out = xc * along_row(scale)
+    out += along_row(layer.beta.data)
+    out = out.reshape(x.shape)
 
     def bwd(g):
-        gy_xc = (g * xc).sum(axis=axes, dtype=dtype)
-        gx = g * scale
+        g = g.reshape(xc.shape)
+        gy_xc = channel_sum(g * xc)
+        g_sum = channel_sum(g)
+        gx = g * along_row(scale)
         if training:
-            # d inv / d var for inv = (var + eps)^(-1/2)
-            dinv = -0.5 * inv * inv * inv
-            gvar = gy_xc * gamma * dinv
-            gx += xc * (2.0 * gvar / count)
-            gx -= gx.mean(axis=axes, dtype=dtype)
-        return gx, gy_xc * inv, g.sum(axis=axes, dtype=dtype)
+            gx -= xc * along_row(scale * inv * inv * gy_xc / count)
+            gx -= along_row(scale * g_sum / count)
+        return gx.reshape(x.shape), gy_xc * inv, g_sum
 
     return _apply("batch_norm", (batch, layer.gamma, layer.beta), out, bwd)
 

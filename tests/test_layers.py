@@ -89,6 +89,25 @@ def gradient_landing(xd):
     return ys * w + xs
 
 
+def _tied_windows(rng, shape, ties):
+    """A batch whose every 2x2 window holds its maximum ``ties`` times.
+
+    The tied maxima sit at random positions of the window. Half of the
+    windows tie at zero, with random signs on the zeros and negative
+    values elsewhere.
+    """
+    n, h, w, c = shape
+    win = rng.uniform(-2.0, -0.5, size=(n, h // 2, w // 2, c, 4))
+    top = np.argsort(rng.random(win.shape), axis=-1)[..., :ties]
+    peak = np.where(rng.random(win.shape[:-1]) < 0.5, 1.0, 0.0)[..., None]
+    np.put_along_axis(win, top, peak, axis=-1)
+    zeros = win == 0.0
+    win[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    # window entries (dy, dx) back to pixels: [n, h2, 2, w2, 2, c]
+    win = win.reshape(n, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+    return win.reshape(n, h, w, c)
+
+
 def conv_layer(kd, bd, dtype=None):
     if dtype is not None:
         return Conv2dLayer(Tensor(kd, dtype=dtype), Tensor(bd, dtype=dtype))
@@ -236,6 +255,37 @@ class TestMaxpool2:
         with pytest.raises(ValueError):
             maxpool2(Tensor(np.ones((1, 4, 5, 1))))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ties", [2, 3, 4])
+    def test_forced_ties_match_naive_oracle_bit_for_bit(self, dtype, ties):
+        rng = np.random.default_rng(240 + ties)
+        for n, h, w, c in [(3, 4, 6, 2), (2, 8, 8, 5), (1, 2, 2, 1)]:
+            xd = _tied_windows(rng, (n, h, w, c), ties).astype(dtype)
+            g = rng.normal(size=(n, h // 2, w // 2, c)).astype(dtype)
+            x = Tensor(xd, requires_grad=True)
+            with GradTape() as tape:
+                out = maxpool2(x)
+                grads = backward(tape, tsum(mul(out, Tensor(g))))
+            gx = tape.gradient(grads, x).data
+            for i in range(n):
+                want_out, want_idx = naive_maxpool2(xd[i])
+                want_gx = np.zeros((h * w, c), dtype=dtype)
+                np.put_along_axis(want_gx, want_idx.reshape(-1, c), g[i].reshape(-1, c), axis=0)
+                # bytes, so the sign of a zero counts too
+                assert out.data[i].tobytes() == want_out.tobytes()
+                assert gx[i].tobytes() == want_gx.reshape(h, w, c).tobytes()
+
+    def test_gradient_has_no_negative_zero(self):
+        rng = np.random.default_rng(243)
+        xd = _tied_windows(rng, (2, 8, 8, 3), 2).astype(np.float32)
+        x = Tensor(xd, requires_grad=True)
+        probe = Tensor(-rng.uniform(0.5, 1.5, size=(2, 4, 4, 3)).astype(np.float32))
+        with GradTape() as tape:
+            grads = backward(tape, tsum(mul(maxpool2(x), probe)))
+        gx = tape.gradient(grads, x).data
+        assert (gx == 0).sum() == 3 * probe.data.size
+        assert not np.signbit(gx[gx == 0]).any()
+
 
 class TestUpsample:
     def test_single_pixel_replicates(self):
@@ -272,6 +322,19 @@ class TestUpsample:
             x = Tensor(rng.normal(size=(1, 3, 4, 2)), dtype=np.float64)
             report = grad_check(lambda t: tsum(square(upsample_nearest2(t))), [x], 1e-4)
             assert report.passed, f"trial {trial}: {report}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_matches_reshape_sum_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(244)
+        for n, h, w, c in [(8, 32, 32, 8), (8, 8, 8, 128), (3, 5, 3, 2), (1, 1, 1, 1), (2, 16, 4, 16)]:
+            x = Tensor(rng.normal(size=(n, h, w, c)).astype(dtype), requires_grad=True)
+            # magnitudes spread over decades, so the sum order shows in the bits
+            g = rng.normal(size=(n, 2 * h, 2 * w, c)) * 10.0 ** rng.integers(-3, 4, size=(n, 2 * h, 2 * w, c))
+            g = g.astype(dtype)
+            with GradTape() as tape:
+                grads = backward(tape, tsum(mul(upsample_nearest2(x), Tensor(g))))
+            want = g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))
+            assert tape.gradient(grads, x).data.tobytes() == want.tobytes()
 
 
 class TestRelu:
@@ -363,9 +426,15 @@ class TestBatchNorm:
             with GradTape() as oracle_tape:
                 want = composed_batch_norm(x, twin, phase)
                 oracle_grads = backward(oracle_tape, tsum(mul(want, probe)))
-            np.testing.assert_array_equal(out.data, want.data)
-            np.testing.assert_array_equal(layer.running_mean.data, twin.running_mean.data)
-            np.testing.assert_array_equal(layer.running_var.data, twin.running_var.data)
+            # the op sums channels in BLAS order, the oracle in numpy's, so
+            # the two agree to rounding, not bit for bit
+            tol = 16 * np.finfo(out.data.dtype).eps
+            for got, expected in (
+                (out, want),
+                (layer.running_mean, twin.running_mean),
+                (layer.running_var, twin.running_var),
+            ):
+                np.testing.assert_allclose(got.data, expected.data, rtol=tol, atol=tol)
             for t in (x, layer.gamma, layer.beta):
                 got = tape.gradient(grads, t).data
                 expected = oracle_tape.gradient(oracle_grads, t).data
@@ -443,6 +512,32 @@ class TestBatchNorm:
 
             report = grad_check(f, [x, gamma, beta], tolerance=1e-4)
             assert report.passed, f"trial {trial}: {report}"
+
+    def test_sums_stay_accurate_on_an_offset_channel(self, monkeypatch):
+        # with momentum 0 the running buffers hold the batch statistics
+        monkeypatch.setattr(layers, "BN_MOMENTUM", 0.0)
+        rng = np.random.default_rng(245)
+        xd = rng.normal(size=(8, 64, 64, 8)).astype(np.float32)
+        xd[..., 5] += 1e3
+        layer = _bn(8)
+        batch_norm(Tensor(xd), layer, "train")
+        ref = xd.astype(np.float64)
+        np.testing.assert_allclose(layer.running_mean.data, ref.mean(axis=(0, 1, 2)), rtol=1e-4)
+        np.testing.assert_allclose(layer.running_var.data, ref.var(axis=(0, 1, 2)), rtol=1e-4)
+
+    def test_constant_channel_is_finite(self):
+        rng = np.random.default_rng(246)
+        xd = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
+        xd[..., 1] = 0.1
+        x = Tensor(xd, requires_grad=True)
+        layer = _bn(3)
+        probe = Tensor(rng.normal(size=xd.shape).astype(np.float32))
+        with GradTape() as tape:
+            out = batch_norm(x, layer, "train")
+            grads = backward(tape, tsum(mul(out, probe)))
+        assert np.isfinite(out.data).all()
+        for t in (x, layer.gamma, layer.beta):
+            assert np.isfinite(tape.gradient(grads, t).data).all()
 
     def test_inference_gradients_flow_to_input(self):
         rng = np.random.default_rng(218)
