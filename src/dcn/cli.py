@@ -36,18 +36,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _apply_thread_cap():
+def _thread_cap():
+    """DCN_THREADS as a positive integer, or None when it is unset."""
     raw = os.environ.get("DCN_THREADS")
     if raw is None:
-        return
+        return None
     try:
         cap = int(raw)
     except ValueError:
-        raise UsageError(f"DCN_THREADS must be a positive integer, got {raw!r}") from None
+        cap = 0
     if cap < 1:
         raise UsageError(f"DCN_THREADS must be a positive integer, got {raw!r}")
-    for var in _THREAD_VARS:
-        os.environ[var] = str(cap)
+    return cap
+
+
+def _apply_thread_cap():
+    cap = _thread_cap()
+    if cap is not None:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(cap)
 
 
 def _scene_spec(size, seed):
@@ -123,21 +130,146 @@ def _mask_band(path, flag):
     return stack.band("MASK").astype(np.int64)
 
 
-def _segmented(records, bands, params, chunk):
-    """Yield (tile records, their ``bands`` arrays, superpixel maps) per chunk.
-
-    The tiles of a chunk are z-scored one by one, then segmented by one
-    stacked SLIC; each map is the one the tile gets on its own.
-    """
+def _segment(part, bands, params):
+    """Superpixel maps of a chunk of tile records: z-scored one by one, then one stacked SLIC."""
     import numpy as np
 
     from .superpixel import slic_segment_batch, zscore_features
 
-    for lo in range(0, len(records), chunk):
-        part = records[lo : lo + chunk]
-        data = [record.stack.select(bands) for record in part]
-        features = np.stack([zscore_features(d) for d in data])
-        yield part, data, slic_segment_batch(features, params)
+    features = np.stack([zscore_features(record.stack.select(bands)) for record in part])
+    return slic_segment_batch(features, params)
+
+
+def _share_maps(chunks, bands, params):
+    """Maps of each chunk in order; an exception takes its chunk's place and ends the share."""
+    out = [None] * len(chunks)
+    for i, part in enumerate(chunks):
+        try:
+            out[i] = _segment(part, bands, params)
+        except Exception as err:
+            out[i] = err
+            break
+    return out
+
+
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _usable_cores():
+    """Cores this process may use: its CPU affinity, capped by a cgroup v2 CPU quota.
+
+    The quota is read from ``_CPU_MAX``, which in a container with its own
+    cgroup namespace is the container's; "max" there, or no such file,
+    sets no cap. A quota of 1.5 CPUs allows 2.
+    """
+    cores = len(os.sched_getaffinity(0))
+    try:
+        with open(_CPU_MAX) as f:
+            quota, period = f.read().split()
+        return min(cores, -(-int(quota) // int(period)))
+    except (OSError, ValueError):
+        return cores
+
+
+def _segment_workers(chunks):
+    """How many processes segment ``chunks`` chunks.
+
+    The usable cores, capped by DCN_THREADS and by ``chunks``; 1 for no
+    chunks and where ``os.fork`` or ``os.sched_getaffinity`` is missing.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    bounds = [_usable_cores(), chunks]
+    cap = _thread_cap()
+    if cap is not None:
+        bounds.append(cap)
+    return max(1, min(bounds))
+
+
+def _fork_share(chunks, bands, params):
+    """Fork a child that segments ``chunks``; returns (its pid, the read end of its pipe).
+
+    The child segments from the records it inherited, writes its pickled
+    ``_share_maps`` to the pipe and leaves by ``os._exit``, never returning
+    into the caller's frames; it makes no BLAS call. It ignores SIGINT: an
+    interrupt reaches the parent, which kills its children.
+    """
+    import pickle
+    import signal
+
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(rfd)
+            payload = pickle.dumps(_share_maps(chunks, bands, params))
+            with os.fdopen(wfd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    return pid, os.fdopen(rfd, "rb")
+
+
+def _forked_maps(chunks, bands, params, workers):
+    """Maps of every chunk, chunk i segmented by process i mod ``workers``.
+
+    The parent forks ``workers - 1`` children (none for 1) and segments
+    share 0 itself, then reaps every child. A chunk's exception, the first in chunk order,
+    is raised with its own type once all are reaped; on any other failure
+    the children still running are killed and reaped.
+    """
+    import pickle
+    import signal
+
+    children = {}  # pid -> read end of its pipe, until the child is reaped
+    try:
+        for share in range(1, workers):
+            pid, pipe = _fork_share(chunks[share::workers], bands, params)
+            children[pid] = pipe
+        outcomes = [None] * len(chunks)
+        outcomes[::workers] = _share_maps(chunks[::workers], bands, params)
+        for share, (pid, pipe) in enumerate(list(children.items()), 1):
+            payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pipe.close()
+            del children[pid]
+            if status:
+                raise RuntimeError(f"SLIC worker process {pid} exited with status {status}")
+            outcomes[share::workers] = pickle.loads(payload)
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes
+
+
+def _segmented(records, bands, params, chunk):
+    """(tile records, their superpixel maps) for each chunk of ``chunk`` records.
+
+    ``_forked_maps`` spreads the chunks over W = ``_segment_workers``
+    processes, one for W = 1. Each map is the one the tile gets when
+    segmented on its own, whatever chunk or process segments it.
+    """
+    chunks = [records[lo : lo + chunk] for lo in range(0, len(records), chunk)]
+    maps = _forked_maps(chunks, bands, params, _segment_workers(len(chunks)))
+    return list(zip(chunks, maps))
 
 
 def _at_most_pixels(k, flag, pixels):
@@ -271,8 +403,7 @@ def cmd_train(args):
     if not os.path.isdir(args.data):
         raise DataError(f"--data {args.data} is not a directory")
     _check_output_dirs(("--out", args.out), ("--history", args.history))
-    chunk = infer_chunk(config)
-    records = []
+    tiles = []
     for name in sorted(os.listdir(args.data)):
         if not name.endswith(".bmsr"):
             continue
@@ -284,10 +415,13 @@ def cmd_train(args):
             args.stride,
             need_mask=True,
         )
-        if tiled is None:
-            continue
-        for part, _, spmaps in _segmented(tiled.tiles, config.input_bands, params, chunk):
-            records.extend(replace(r, spmap=spmap) for r, spmap in zip(part, spmaps))
+        if tiled is not None:
+            tiles.extend(tiled.tiles)
+    records = [
+        replace(r, spmap=spmap)
+        for part, spmaps in _segmented(tiles, config.input_bands, params, infer_chunk(config))
+        for r, spmap in zip(part, spmaps)
+    ]
     if not records:
         raise DataError(
             f"--data {args.data} holds no scenes with the "
@@ -331,7 +465,8 @@ def cmd_predict(args):
     bands = model.config.input_bands
     tiled = _scene_tiles(args.input, "--input", bands, window, window)
     out_tiles = []
-    for records, data, spmaps in _segmented(tiled.tiles, bands, params, infer_chunk(model.config)):
+    for records, spmaps in _segmented(tiled.tiles, bands, params, infer_chunk(model.config)):
+        data = [record.stack.select(bands) for record in records]
         for record, raster in zip(records, infer_rasters(model, data, spmaps)):
             mask_stack = RasterStack(
                 width=window,

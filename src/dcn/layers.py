@@ -136,6 +136,17 @@ def _correlate(xd: np.ndarray, kd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, cols
 
 
+# Channels-last ops take per-channel sums with ``_channel_sum`` and run
+# their elementwise work on the [n * h, w * c] row view, with each channel
+# vector tiled along a row by ``np.tile(v, w)``: broadcasting a [c] vector
+# over [n, h, w, c] gives the same bits but runs numpy's inner loop only c
+# wide.
+def _channel_sum(a: np.ndarray, channels: int) -> np.ndarray:
+    """Per-channel sums of a channels-last array as one GEMV, ``ones[N] @ a.reshape(N, c)``."""
+    flat = a.reshape(-1, channels)
+    return np.ones(flat.shape[0], dtype=a.dtype) @ flat
+
+
 def _check_batch(op: str, x: Tensor) -> None:
     if x.data.ndim != 4:
         raise ValueError(f"{op} input must be [n, h, w, c], got {x.shape}")
@@ -144,8 +155,11 @@ def _check_batch(op: str, x: Tensor) -> None:
 def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     """2-d convolution of an [n, h, w, cin] batch, channels last.
 
-    The backward rule skips the input gradient (returns ``None``) when
-    ``x`` does not require grad, as for the data batch.
+    The bias is added on the ``[n * h, w * cout]`` row view of the output,
+    and its gradient is one GEMV over the ``[N, cout]`` view of the output
+    gradient, as batch norm takes its sums. The backward rule skips the
+    input gradient (returns ``None``) when ``x`` does not require grad, as
+    for the data batch.
     """
     _check_batch("conv2d", x)
     kernel, bias = layer.kernel, layer.bias
@@ -159,12 +173,14 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
 
     kd = kernel.data
     out, cols = _correlate(x.data, kd)
-    out = out + bias.data
+    n, h, w, _ = out.shape
+    rows = out.reshape(n * h, w * cout)
+    rows += np.tile(bias.data, w)
     needs_gx = x.requires_grad
 
     def bwd(g):
         gk = cols.T @ g.reshape(cols.shape[0], cout)
-        gb = g.sum(axis=(0, 1, 2))
+        gb = _channel_sum(g, cout)
         gx = None
         if needs_gx:
             # adjoint of same-padded correlation: correlate the output
@@ -278,22 +294,11 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
     dtype = x.dtype
     n, h, w, _ = x.shape
     count = n * h * w
-    ones = np.ones(count, dtype=dtype)
-
-    def channel_sum(a):
-        return ones @ a.reshape(count, channels)
-
-    # elementwise work runs on [n * h, w * c] rows, with each channel
-    # vector tiled along a row; broadcasting [c] itself runs numpy's inner
-    # loop only c wide
-    def along_row(v):
-        return np.tile(v, w)
-
     rows = x.reshape(n * h, w * channels)
     if training:
-        mu = channel_sum(x) / count
-        xc = rows - along_row(mu)
-        var = channel_sum(xc * xc) / count
+        mu = _channel_sum(x, channels) / count
+        xc = rows - np.tile(mu, w)
+        var = _channel_sum(xc * xc, channels) / count
         m = BN_MOMENTUM
         rdtype = layer.running_mean.data.dtype
         layer.running_mean = Tensor._wrap(
@@ -304,24 +309,24 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
         )
     else:
         var = layer.running_var.data.astype(dtype)
-        xc = rows - along_row(layer.running_mean.data.astype(dtype))
+        xc = rows - np.tile(layer.running_mean.data.astype(dtype), w)
     shifted = var + np.asarray(BN_EPSILON, dtype=dtype)
     with np.errstate(divide="ignore"):
         inv = 1.0 / np.sqrt(shifted)
     gamma = layer.gamma.data
     scale = gamma * inv
-    out = xc * along_row(scale)
-    out += along_row(layer.beta.data)
+    out = xc * np.tile(scale, w)
+    out += np.tile(layer.beta.data, w)
     out = out.reshape(x.shape)
 
     def bwd(g):
         g = g.reshape(xc.shape)
-        gy_xc = channel_sum(g * xc)
-        g_sum = channel_sum(g)
-        gx = g * along_row(scale)
+        gy_xc = _channel_sum(g * xc, channels)
+        g_sum = _channel_sum(g, channels)
+        gx = g * np.tile(scale, w)
         if training:
-            gx -= xc * along_row(scale * inv * inv * gy_xc / count)
-            gx -= along_row(scale * g_sum / count)
+            gx -= xc * np.tile(scale * inv * inv * gy_xc / count, w)
+            gx -= np.tile(scale * g_sum / count, w)
         return gx.reshape(x.shape), gy_xc * inv, g_sum
 
     return _apply("batch_norm", (batch, layer.gamma, layer.beta), out, bwd)

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -199,8 +200,8 @@ class TestTrain:
         assert open(hist).read() == open(workspace["hist"]).read()
 
     def test_segmentation_chunks_leave_outputs_unchanged(self, tmp_path, monkeypatch):
-        # 128 px scenes give four 64 px tiles each, segmented one at a time
-        # or in chunks of three (the last chunk of each scene holds one)
+        # two 128 px scenes give eight 64 px tiles, segmented one at a time
+        # or in chunks of three that cross the scene boundary (3, 3 and 2)
         data = str(tmp_path / "data")
         assert cli.run(["synth", "--seed", "2", "--count", "2", "--size", "128", "--out", data]) == 0
         argv = ["train", "--data", data, "--epochs", "1", "--batch", "4", "--window", "64",
@@ -669,6 +670,202 @@ class TestThreadCap:
         monkeypatch.setenv("DCN_THREADS", "0")
         assert cli.run(["synth", "--seed", "0", "--count", "1", "--size", "32", "--out", out]) == 1
         capsys.readouterr()
+
+
+class TestSegmentWorkers:
+    """Chunks segmented in forked processes give the outputs of one process."""
+
+    @pytest.fixture
+    def scene(self, tmp_path_factory):
+        # 256 px: 16 tiles of 64 px
+        data = str(tmp_path_factory.mktemp("workers"))
+        assert cli.run(["synth", "--seed", "5", "--count", "1", "--size", "256", "--out", data]) == 0
+        return os.path.join(data, "scene_000.bmsr")
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path_factory):
+        config = dcn.DcnConfig(
+            block_channels=(8, 16, 32, 64, 128), embedding_dim=8, dropout_rate=0.0, tile_size=64
+        )
+        path = str(tmp_path_factory.mktemp("workers") / "m.dcnw")
+        dcn.save_checkpoint(dcn.build(config), path)
+        return path
+
+    @staticmethod
+    def _workers(monkeypatch, count):
+        """Let ``count`` cores be usable; returns the list the forked pids go to."""
+        monkeypatch.delenv("DCN_THREADS", raising=False)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: count)
+        forked, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forked
+
+    @staticmethod
+    def _chunk_tiles(monkeypatch, tiles):
+        monkeypatch.setattr(model_module, "INFER_CHUNK_BYTES", tiles * 9 * 8 * 64 * 64 * 4)
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_predict_output_is_the_same_for_one_two_and_three_workers(
+        self, scene, checkpoint, tmp_path, monkeypatch
+    ):
+        # chunks of 3, 3, 3, 3, 3 and 1 tiles
+        self._chunk_tiles(monkeypatch, 3)
+        outputs = []
+        for count in (1, 2, 3):
+            forked = self._workers(monkeypatch, count)
+            pred, err = str(tmp_path / f"p{count}.bmsr"), str(tmp_path / f"e{count}.ppm")
+            argv = ["predict", "--model", checkpoint, "--input", scene, "--out", pred,
+                    "--truth", scene.replace("scene_", "mask_"), "--errmap", err]
+            assert cli.run(argv) == 0
+            assert len(forked) == count - 1
+            outputs.append((open(pred, "rb").read(), open(err, "rb").read()))
+        self._assert_no_child_left()
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_train_output_is_the_same_for_one_and_two_workers(self, tmp_path, monkeypatch):
+        # two 128 px scenes give 8 tiles, in chunks of 3, 3 and 2 across scenes
+        data = str(tmp_path / "data")
+        assert cli.run(["synth", "--seed", "2", "--count", "2", "--size", "128", "--out", data]) == 0
+        self._chunk_tiles(monkeypatch, 3)
+        argv = ["train", "--data", data, "--epochs", "1", "--batch", "4", "--window", "64",
+                "--stride", "64", "--channels", "8,16,32,64,128", "--dim", "2", "--dropout", "0.0"]
+        outputs = []
+        for count in (1, 2):
+            forked = self._workers(monkeypatch, count)
+            out, hist = str(tmp_path / f"m{count}.dcnw"), str(tmp_path / f"h{count}.json")
+            assert cli.run(argv + ["--out", out, "--history", hist]) == 0
+            assert len(forked) == count - 1
+            outputs.append((open(out, "rb").read(), open(hist).read()))
+        self._assert_no_child_left()
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "chunk, failing",
+        # 16 tiles in chunks of 3: the 1-tile chunk is chunk 5, a child's with
+        # two workers; in chunks of 7: the 2-tile chunk is chunk 2, the parent's
+        [(3, 1), (7, 2)],
+    )
+    def test_a_failing_chunk_gives_the_exit_of_one_worker(
+        self, scene, checkpoint, tmp_path, monkeypatch, capsys, chunk, failing
+    ):
+        real = sys.modules["dcn.superpixel"].slic_segment_batch
+
+        def slic(features, params):
+            if len(features) == failing:
+                raise dcn.DataError(f"chunk of {failing} refused")
+            return real(features, params)
+
+        monkeypatch.setattr(sys.modules["dcn.superpixel"], "slic_segment_batch", slic)
+        self._chunk_tiles(monkeypatch, chunk)
+        pred = str(tmp_path / "p.bmsr")
+        results = []
+        for count in (1, 2):
+            forked = self._workers(monkeypatch, count)
+            code = cli.run(["predict", "--model", checkpoint, "--input", scene, "--out", pred])
+            assert len(forked) == count - 1
+            results.append((code, capsys.readouterr().err))
+            self._assert_no_child_left()
+        assert results[0] == results[1] == (2, f"data error: chunk of {failing} refused\n")
+        assert not os.path.exists(pred)
+
+    def test_every_chunk_is_segmented_before_any_is_inferred(
+        self, scene, checkpoint, tmp_path, monkeypatch, capsys
+    ):
+        # the last chunk fails SLIC, and inference fails numerically: the
+        # SLIC error is reported whatever the worker count
+        real = sys.modules["dcn.superpixel"].slic_segment_batch
+
+        def slic(features, params):
+            if len(features) == 1:
+                raise dcn.DataError("chunk of 1 refused")
+            return real(features, params)
+
+        def infer(*args):
+            raise NumericError("inference ran")
+
+        monkeypatch.setattr(sys.modules["dcn.superpixel"], "slic_segment_batch", slic)
+        monkeypatch.setattr(model_module, "infer_rasters", infer)
+        self._chunk_tiles(monkeypatch, 3)
+        for count in (1, 2):
+            self._workers(monkeypatch, count)
+            argv = ["predict", "--model", checkpoint, "--input", scene,
+                    "--out", str(tmp_path / "p.bmsr")]
+            assert cli.run(argv) == 2
+            assert capsys.readouterr().err == "data error: chunk of 1 refused\n"
+        self._assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "cpu_max, cores",
+        [(None, 4), ("max 100000\n", 4), ("150000 100000\n", 2), ("50000 100000\n", 1),
+         ("800000 100000\n", 4)],
+    )
+    def test_a_cgroup_cpu_quota_caps_the_usable_cores(self, tmp_path, monkeypatch, cpu_max, cores):
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max)
+        monkeypatch.setattr(cli, "_CPU_MAX", str(path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert cli._usable_cores() == cores
+
+    def test_a_dead_child_is_an_error_and_is_reaped(self, scene, checkpoint, tmp_path, monkeypatch):
+        real = sys.modules["dcn.superpixel"].slic_segment_batch
+        parent = os.getpid()
+
+        def slic(features, params):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(features, params)
+
+        monkeypatch.setattr(sys.modules["dcn.superpixel"], "slic_segment_batch", slic)
+        self._workers(monkeypatch, 2)
+        pred = str(tmp_path / "p.bmsr")
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            cli.run(["predict", "--model", checkpoint, "--input", scene, "--out", pred])
+        self._assert_no_child_left()
+
+    def test_an_interrupted_parent_kills_and_reaps_its_children(
+        self, scene, checkpoint, tmp_path, monkeypatch
+    ):
+        real = sys.modules["dcn.superpixel"].slic_segment_batch
+        parent = os.getpid()
+
+        def slic(features, params):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child still busy when the parent gives up
+            return real(features, params)
+
+        monkeypatch.setattr(sys.modules["dcn.superpixel"], "slic_segment_batch", slic)
+        forked = self._workers(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli.run(["predict", "--model", checkpoint, "--input", scene,
+                     "--out", str(tmp_path / "p.bmsr")])
+        assert len(forked) == 2 and time.monotonic() - start < 30
+        self._assert_no_child_left()
+
+    def test_one_thread_forks_nothing(self, scene, checkpoint, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("DCN_THREADS=1 forked")
+
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+        monkeypatch.setenv("DCN_THREADS", "1")
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert cli.run(["predict", "--model", checkpoint, "--input", scene,
+                        "--out", str(tmp_path / "p.bmsr")]) == 0
 
 
 class TestLazyPackage:

@@ -141,6 +141,36 @@ class TestConv2d:
                 got, naive_conv2d(xd, kd, bd), atol=1e-12, err_msg=f"trial {trial}"
             )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_on_rows_matches_a_broadcast_bias_bit_for_bit(self, dtype):
+        # the bias is added on the [n * h, w * cout] row view of the output
+        rng = np.random.default_rng(223)
+        for n, h, w, cin, cout in [(1, 4, 4, 2, 3), (3, 8, 6, 5, 7), (2, 16, 16, 8, 16)]:
+            xd = rng.normal(size=(n, h, w, cin)).astype(dtype)
+            kd = rng.normal(size=(3, 3, cin, cout)).astype(dtype)
+            bd = rng.normal(size=cout).astype(dtype)
+            got = conv2d(Tensor(xd), conv_layer(kd, bd)).data
+            want = layers._correlate(xd, kd)[0] + bd
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_gradient_sums_the_output_gradient_per_channel(self, dtype):
+        rng = np.random.default_rng(227)
+        layer = Conv2dLayer(
+            Tensor(rng.normal(size=(3, 3, 4, 8)), dtype=dtype),
+            Tensor(rng.normal(size=8), dtype=dtype, requires_grad=True),
+        )
+        x = Tensor(rng.normal(size=(8, 16, 16, 4)), dtype=dtype)
+        probe = rng.normal(size=(8, 16, 16, 8)).astype(dtype)
+        with GradTape() as tape:
+            grads = backward(tape, tsum(mul(conv2d(x, layer), Tensor(probe))))
+        got = tape.gradient(grads, layer.bias).data
+        # the GEMV sums in BLAS order: compare with float64 sums to rounding
+        want = probe.astype(np.float64).sum(axis=(0, 1, 2))
+        tol = 64 * np.finfo(dtype).eps * np.abs(probe).astype(np.float64).sum(axis=(0, 1, 2))
+        assert got.dtype == dtype
+        assert (np.abs(got - want) <= tol).all()
+
     def test_identity_kernel_passes_input_through(self):
         xd = np.arange(12, dtype=np.float64).reshape(3, 4, 1)
         kd = np.zeros((3, 3, 1, 1))
