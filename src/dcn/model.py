@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
 from .autodiff import Tensor, reshape
 from .competition import Codebook, class_distances, winner
 from .data import BlobReader, write_atomic
-from .errors import DataError
+from .errors import DataError, NumericError
 from .layers import (
     BatchNormLayer,
     Conv2dLayer,
@@ -127,128 +128,111 @@ class DcnModel:
     codebook: Codebook
     dropouts: dict[int, DropoutLayer]
     global_step: int = 0
-    _param_slots: dict = field(default_factory=dict, repr=False)
-    _buffer_slots: dict = field(default_factory=dict, repr=False)
+    _slots: dict = field(init=False, repr=False)
 
-    def _register(self) -> None:
-        params, buffers = {}, {}
-        for i, blk in enumerate(self.encoder):
-            for tag, conv, bn in (("1", blk.conv1, blk.bn1), ("2", blk.conv2, blk.bn2)):
-                params[f"enc{i}.conv{tag}.kernel"] = (conv, "kernel")
-                params[f"enc{i}.conv{tag}.bias"] = (conv, "bias")
-                params[f"enc{i}.bn{tag}.gamma"] = (bn, "gamma")
-                params[f"enc{i}.bn{tag}.beta"] = (bn, "beta")
-                buffers[f"enc{i}.bn{tag}.running_mean"] = (bn, "running_mean")
-                buffers[f"enc{i}.bn{tag}.running_var"] = (bn, "running_var")
-        for i, blk in enumerate(self.decoder):
-            params[f"dec{i}.conv.kernel"] = (blk.conv, "kernel")
-            params[f"dec{i}.conv.bias"] = (blk.conv, "bias")
-            params[f"dec{i}.bn.gamma"] = (blk.bn, "gamma")
-            params[f"dec{i}.bn.beta"] = (blk.bn, "beta")
-            buffers[f"dec{i}.bn.running_mean"] = (blk.bn, "running_mean")
-            buffers[f"dec{i}.bn.running_var"] = (blk.bn, "running_var")
-        params["head.kernel"] = (self.head, "kernel")
-        params["head.bias"] = (self.head, "bias")
-        params["codebook.prototypes"] = (self.codebook, "prototypes")
-        self._param_slots = params
-        self._buffer_slots = buffers
+    def __post_init__(self) -> None:
+        # is-buffer -> tensor name -> (layer record, field), in ``_layout`` order
+        records = [getattr(b, f.name) for b in (*self.encoder, *self.decoder) for f in fields(b)]
+        self._slots = {False: {}, True: {}}
+        for (name, _, _), record in zip(
+            _layout(self.config), [*records, self.head, self.codebook], strict=True
+        ):
+            for f in fields(record):
+                self._slots[_is_buffer(f.name)][f"{name}.{f.name}"] = (record, f.name)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {n: getattr(o, a) for n, (o, a) in self._param_slots.items()}
+        return {n: getattr(r, a) for n, (r, a) in self._slots[False].items()}
 
     def buffers(self) -> dict[str, Tensor]:
-        return {n: getattr(o, a) for n, (o, a) in self._buffer_slots.items()}
+        return {n: getattr(r, a) for n, (r, a) in self._slots[True].items()}
+
+    def _set(self, name: str, value: Tensor, buffer: bool) -> None:
+        record, attr = self._slots[buffer][name]
+        if getattr(record, attr).shape != value.shape:
+            raise ValueError(f"shape mismatch for {name}")
+        setattr(record, attr, value)
 
     def set_parameter(self, name: str, value: Tensor) -> None:
-        obj, attr = self._param_slots[name]
-        if getattr(obj, attr).shape != value.shape:
-            raise ValueError(f"shape mismatch for {name}")
-        setattr(obj, attr, value)
+        self._set(name, value, buffer=False)
 
     def set_buffer(self, name: str, value: Tensor) -> None:
-        obj, attr = self._buffer_slots[name]
-        if getattr(obj, attr).shape != value.shape:
-            raise ValueError(f"shape mismatch for {name}")
-        setattr(obj, attr, value)
+        self._set(name, value, buffer=True)
 
 
-def _he_kernel(rng: np.random.Generator, kh, kw, cin, cout, dtype) -> Tensor:
-    std = np.sqrt(2.0 / (kh * kw * cin))
-    data = (rng.standard_normal((kh, kw, cin, cout)) * std).astype(dtype)
-    return Tensor(data, requires_grad=True)
+def _is_buffer(attr: str) -> bool:
+    """Whether a record field is a running statistic rather than a parameter."""
+    return attr.startswith("running_")
 
 
-def _conv_layer(rng, kh, kw, cin, cout, dtype) -> Conv2dLayer:
-    return Conv2dLayer(
-        kernel=_he_kernel(rng, kh, kw, cin, cout, dtype),
-        bias=Tensor(np.zeros(cout, dtype=dtype), requires_grad=True),
-    )
+def _layout(config: DcnConfig) -> list[tuple[str, type, tuple[int, ...]]]:
+    """Name, record type and shape of every layer, in build and checkpoint order.
 
-
-def _conv_kernels(config: DcnConfig) -> list[tuple[str, tuple[int, int, int, int]]]:
-    """Name and [kh, kw, c_in, c_out] kernel shape of every conv, in build order."""
+    A conv's shape is its [kh, kw, c_in, c_out] kernel (its bias is
+    [c_out]), a norm's its [c] channels and the codebook's its [2, D]
+    prototypes. Each record field is a tensor named ``<layer>.<field>``.
+    """
     bc = config.block_channels
     dec_out = (bc[3], bc[2], bc[1], bc[0], bc[0])
-    kernels = []
+    layout = []
     for i, (cin, c) in enumerate(zip((config.input_channels, *bc[:4]), bc)):
-        kernels += [(f"enc{i}.conv1", (3, 3, cin, c)), (f"enc{i}.conv2", (3, 3, c, c))]
+        layout += [
+            (f"enc{i}.conv1", Conv2dLayer, (3, 3, cin, c)),
+            (f"enc{i}.bn1", BatchNormLayer, (c,)),
+            (f"enc{i}.conv2", Conv2dLayer, (3, 3, c, c)),
+            (f"enc{i}.bn2", BatchNormLayer, (c,)),
+        ]
     for i, (cin, c) in enumerate(zip((bc[4], *dec_out[:4]), dec_out)):
-        kernels.append((f"dec{i}.conv", (3, 3, cin, c)))
-    kernels.append(("head", (1, 1, dec_out[-1], config.embedding_dim)))
-    return kernels
+        layout += [
+            (f"dec{i}.conv", Conv2dLayer, (3, 3, cin, c)),
+            (f"dec{i}.bn", BatchNormLayer, (c,)),
+        ]
+    layout.append(("head", Conv2dLayer, (1, 1, dec_out[-1], config.embedding_dim)))
+    layout.append(("codebook", Codebook, (2, config.embedding_dim)))
+    return layout
 
 
 def _tensor_shapes(config: DcnConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every parameter and buffer of ``build(config)``, allocating none."""
-    shapes = {}
-    for name, kernel in _conv_kernels(config):
-        shapes[f"{name}.kernel"] = kernel
-        shapes[f"{name}.bias"] = kernel[3:]
-        if name != "head":
-            norm = name.replace("conv", "bn")  # enc0.conv1 -> enc0.bn1
-            for slot in ("gamma", "beta", "running_mean", "running_var"):
-                shapes[f"{norm}.{slot}"] = kernel[3:]
-    shapes["codebook.prototypes"] = (2, config.embedding_dim)
-    return shapes
+    return {
+        f"{name}.{f.name}": shape[3:] if f.name == "bias" else shape
+        for name, kind, shape in _layout(config)
+        for f in fields(kind)
+    }
 
 
-def build(config: DcnConfig, dtype=np.float32) -> DcnModel:
-    """Deterministically initialize a model from the config seed."""
-    rng = np.random.default_rng(config.seed)
-    convs = {name: _conv_layer(rng, *kernel, dtype) for name, kernel in _conv_kernels(config)}
-
-    def norm(conv):
-        return BatchNormLayer.create(convs[conv].bias.shape[0], dtype=dtype)
-
-    encoder = [
-        EncoderBlock(
-            conv1=convs[f"enc{i}.conv1"],
-            bn1=norm(f"enc{i}.conv1"),
-            conv2=convs[f"enc{i}.conv2"],
-            bn2=norm(f"enc{i}.conv2"),
-        )
-        for i in range(len(config.block_channels))
-    ]
-    decoder = [
-        DecoderBlock(conv=convs[f"dec{i}.conv"], bn=norm(f"dec{i}.conv"))
-        for i in range(len(config.block_channels))
-    ]
-    codebook = Codebook.create(config.embedding_dim, dtype=dtype)
+def _assemble(config: DcnConfig, records: list, step: int = 0) -> DcnModel:
+    """The model of ``config`` from its layer records in ``_layout`` order."""
+    rest = iter(records)
+    blocks = len(config.block_channels)
+    encoder = [EncoderBlock(*islice(rest, 4)) for _ in range(blocks)]
+    decoder = [DecoderBlock(*islice(rest, 2)) for _ in range(blocks)]
+    head, codebook = rest
     dropouts = {
         b: DropoutLayer(config.dropout_rate, seed=config.seed + 1000 + b)
         for b in config.dropout_blocks
     }
+    return DcnModel(config, encoder, decoder, head, codebook, dropouts, global_step=step)
 
-    model = DcnModel(
-        config=config,
-        encoder=encoder,
-        decoder=decoder,
-        head=convs["head"],
-        codebook=codebook,
-        dropouts=dropouts,
-    )
-    model._register()
-    return model
+
+def build(config: DcnConfig, dtype=np.float32) -> DcnModel:
+    """Deterministically initialize a model from the config seed.
+
+    Conv kernels are He-normal, drawn layer by layer in ``_layout`` order;
+    biases and norms start at the identity and the codebook at rows 0.25
+    and 0.75.
+    """
+    rng = np.random.default_rng(config.seed)
+
+    def create(kind, shape):
+        if kind is not Conv2dLayer:
+            return kind.create(shape[-1], dtype=dtype)  # norm channels, codebook D
+        std = np.sqrt(2.0 / math.prod(shape[:3]))
+        return Conv2dLayer(
+            kernel=Tensor((rng.standard_normal(shape) * std).astype(dtype), requires_grad=True),
+            bias=Tensor(np.zeros(shape[3], dtype=dtype), requires_grad=True),
+        )
+
+    return _assemble(config, [create(kind, shape) for _, kind, shape in _layout(config)])
 
 
 def embed_batch(model: DcnModel, batch: Tensor, phase: str) -> Tensor:
@@ -382,34 +366,34 @@ def _config_to_text(config: DcnConfig) -> str:
 
 
 def _config_from_text(text: str, path: str) -> DcnConfig:
-    fields = {}
+    entries = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         if "=" not in line:
-            raise DataError(f"malformed config line in checkpoint: {line!r}")
+            raise DataError(f"checkpoint {path}: malformed config line {line!r}")
         key, value = line.split("=", 1)
-        fields[key] = value
+        entries[key] = value
     for key, supported in READING:
-        value = fields.get(key)
+        value = entries.get(key)
         if value != supported:
             raise DataError(
                 f"checkpoint {path}: unsupported {key} {value!r} (expected {supported!r})"
             )
     try:
         return DcnConfig(
-            input_bands=tuple(fields["input_bands"].split(",")),
-            block_channels=tuple(int(c) for c in fields["block_channels"].split(",")),
-            embedding_dim=int(fields["embedding_dim"]),
-            dropout_rate=float(fields["dropout_rate"]),
+            input_bands=tuple(entries["input_bands"].split(",")),
+            block_channels=tuple(int(c) for c in entries["block_channels"].split(",")),
+            embedding_dim=int(entries["embedding_dim"]),
+            dropout_rate=float(entries["dropout_rate"]),
             dropout_blocks=tuple(
-                int(b) for b in fields["dropout_blocks"].split(",") if b
+                int(b) for b in entries["dropout_blocks"].split(",") if b
             ),
-            tile_size=int(fields["tile_size"]),
-            seed=int(fields["seed"]),
+            tile_size=int(entries["tile_size"]),
+            seed=int(entries["seed"]),
         )
     except (KeyError, ValueError) as err:
-        raise DataError(f"invalid checkpoint config: {err}") from err
+        raise DataError(f"checkpoint {path}: invalid config: {err}") from err
 
 
 def save_checkpoint(model: DcnModel, path: str) -> None:
@@ -450,15 +434,15 @@ def load_checkpoint(path: str) -> DcnModel:
     config = _config_from_text(r.text(r.u32(), "config"), path)
     (step,) = r.unpack("<Q")
 
+    # views into the blob: building the records makes the one copy
     tensors: dict[str, np.ndarray] = {}
     while r.pos < len(blob):
         name = r.text(r.u32(), "tensor name")
         rank = r.u32()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        data = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
         if name in tensors:
             raise DataError(f"duplicate tensor {name!r} in checkpoint {path}")
-        tensors[name] = data.copy()
+        tensors[name] = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
 
     shapes = _tensor_shapes(config)
     missing = set(shapes) - set(tensors)
@@ -472,12 +456,15 @@ def load_checkpoint(path: str) -> DcnModel:
                 f"checkpoint {path}: tensor {name!r} has shape {data.shape}, "
                 f"config implies {shapes[name]}"
             )
-    model = build(config)
-    params = model.parameters()
-    for name, data in tensors.items():
-        if name in params:
-            model.set_parameter(name, Tensor(data, requires_grad=params[name].requires_grad))
-        else:
-            model.set_buffer(name, Tensor(data))
-    model.global_step = step
-    return model
+    records = []
+    for layer, kind, _ in _layout(config):
+        values = {}
+        try:
+            for f in fields(kind):
+                name = f"{layer}.{f.name}"
+                values[f.name] = Tensor(tensors[name], requires_grad=not _is_buffer(f.name))
+            name = layer  # the record's own checks span its fields
+            records.append(kind(**values))
+        except (ValueError, NumericError) as err:
+            raise DataError(f"checkpoint {path}: {name}: {err}") from err
+    return _assemble(config, records, step)

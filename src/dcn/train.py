@@ -197,12 +197,9 @@ def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
     t = _binary("truth", truth)
     if p.shape != t.shape:
         raise ValueError(f"pred shape {p.shape} != truth shape {t.shape}")
-    return ConfusionCounts(
-        tp=int(((p == 1) & (t == 1)).sum()),
-        fp=int(((p == 1) & (t == 0)).sum()),
-        fn=int(((p == 0) & (t == 1)).sum()),
-        tn=int(((p == 0) & (t == 0)).sum()),
-    )
+    # the code error_map colours by: 0 tn, 1 fp, 2 fn, 3 tp
+    tn, fp, fn, tp = np.bincount((2 * t + p).ravel(), minlength=4).tolist()
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def overall_accuracy(c: ConfusionCounts) -> float:

@@ -348,6 +348,28 @@ class TestPredict:
             assert code == 0
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
+    @pytest.mark.parametrize(
+        "value,message", [(float("nan"), "non-finite"), (-1.0, "must be non-negative")]
+    )
+    def test_bad_checkpoint_values_fail_at_load(
+        self, workspace, tmp_path, monkeypatch, capsys, value, message
+    ):
+        # the file's last float32 is an entry of dec4.bn.running_var
+        path = str(tmp_path / "m.dcnw")
+        blob = open(workspace["model"], "rb").read()
+        open(path, "wb").write(blob[:-4] + struct.pack("<f", value))
+
+        def slic(features, params):
+            raise AssertionError("the scene was segmented")
+
+        monkeypatch.setattr(sys.modules["dcn.superpixel"], "slic_segment_batch", slic)
+        out = str(tmp_path / "p.bmsr")
+        code = cli.run(["predict", "--model", path, "--input", _scene(workspace, 0), "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("data error:"), err
+        assert path in err and "dec4.bn" in err and "running_var" in err and message in err
+        assert not os.path.exists(out)
+
     def test_slic_k_above_tile_pixels_names_flag(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "p.bmsr")
         code = cli.run(["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),

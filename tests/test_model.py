@@ -174,6 +174,17 @@ class TestBuild:
         assert not set(model.parameters()) & set(model.buffers())
         assert "enc0.bn1.running_mean" in model.buffers()
 
+    def test_setters_keep_parameters_and_buffers_apart(self):
+        model = build(tiny_config())
+        mean = model.buffers()["enc0.bn1.running_mean"]
+        kernel = model.parameters()["head.kernel"]
+        with pytest.raises(KeyError):
+            model.set_parameter("enc0.bn1.running_mean", mean)
+        with pytest.raises(KeyError):
+            model.set_buffer("head.kernel", kernel)
+        with pytest.raises(ValueError, match="shape mismatch for head.kernel"):
+            model.set_parameter("head.kernel", model.parameters()["enc0.conv1.kernel"])
+
     @pytest.mark.parametrize(
         "cfg",
         [tiny_config(), tiny_config(block_channels=(4, 8, 8, 4, 16), embedding_dim=3), DcnConfig()],
@@ -504,6 +515,36 @@ class TestCheckpoint:
         rewrite_config(path, b"batchnorm_mode=standard\n", b"")
         with pytest.raises(DataError, match="batchnorm_mode"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (b"seed=21", b"seed_0", "malformed config line 'seed_0'"),
+            (b"tile_size=32", b"tile_size=48",
+             "tile_size must be a positive multiple of 32, got 48"),
+        ],
+        ids=["malformed_line", "invalid_value"],
+    )
+    def test_config_errors_name_the_file(self, tmp_path, old, new, message):
+        path = str(tmp_path / "model.dcnw")
+        save_checkpoint(self.model, path)
+        rewrite_config(path, old, new)
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"checkpoint {path}:") and message in str(err.value)
+
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.dcnw")
+        save_checkpoint(self.model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint built a model")
+
+        monkeypatch.setattr(model_module, "build", refuse)
+        loaded = load_checkpoint(path)
+        assert param_bytes(loaded) == param_bytes(self.model)
+        for name, tensor in self.model.buffers().items():
+            assert loaded.buffers()[name].data.tobytes() == tensor.data.tobytes()
 
     def test_save_overwrites_atomically(self, tmp_path):
         path = str(tmp_path / "model.dcnw")
