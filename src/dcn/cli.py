@@ -437,7 +437,7 @@ def cmd_train(args):
     )
     save_checkpoint(model, args.out)
     if args.history:
-        write_atomic(args.history, (report_json(history) + "\n").encode("utf-8"))
+        write_atomic(args.history, [(report_json(history) + "\n").encode("utf-8")])
     print(f"trained {len(records)} tiles for {report.ne} epochs -> {args.out}")
     print(
         f"final_loss={history.loss[-1]:.6f} ne={report.ne} "
@@ -515,7 +515,7 @@ def cmd_eval(args):
         "fn": counts.fn,
         "tn": counts.tn,
     }
-    write_atomic(args.json, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
+    write_atomic(args.json, [(json.dumps(doc, indent=2) + "\n").encode("utf-8")])
     print(f"oa={doc['oa']:.6f} iou={doc['iou']:.6f}")
     return EXIT_OK
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,20 +213,23 @@ class SyntheticSceneSpec:
             raise ValueError("noise_std must be non-negative")
 
 
-def write_atomic(path: str, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` atomically.
+def write_atomic(path: str, chunks: Iterable[bytes | np.ndarray]) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` in turn, atomically.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``; on failure the temporary file is removed, so no
-    partial file is left behind. An OS failure, such as a missing
-    directory, is a DataError naming ``path``.
+    A single blob is passed as one chunk; a contiguous array is written
+    from its own buffer, so no joined copy of the file is made. The bytes
+    go to a temporary file in the same directory, which then replaces
+    ``path``; on failure the temporary file is removed, so no partial
+    file is left behind. An OS failure, such as a missing directory, is a
+    DataError naming ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
+                for chunk in chunks:
+                    fh.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -287,8 +291,8 @@ def write_bmsr(stack: RasterStack, path: str) -> None:
     for band in stack.bands:
         tag = band.role.encode("ascii")
         chunks.append(tag.ljust(_ROLE_FIELD, b"\x00"))
-        chunks.append(np.ascontiguousarray(band.data, dtype="<f4").tobytes())
-    write_atomic(path, b"".join(chunks))
+        chunks.append(np.ascontiguousarray(band.data, dtype="<f4"))
+    write_atomic(path, chunks)
 
 
 def read_bmsr(path: str) -> RasterStack:

@@ -115,25 +115,38 @@ class DropoutLayer:
         self.rng = np.random.default_rng(self.seed)
 
 
-def _correlate(xd: np.ndarray, kd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded stride-1 cross-correlation on [n, h, w, cin].
+def _columns(xd: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The im2col columns ``[n*h*w, kh*kw*cin]`` of [n, h, w, cin], zero same-padded.
 
-    The im2col columns ``[n*h*w, kh*kw*cin]`` go through one 2-D GEMM
-    with the kernel viewed as ``[kh*kw*cin, cout]``. Returns the output
-    reshaped to [n, h, w, cout] and the columns.
+    Each row holds one output pixel's window in the kernel's
+    ``(kh, kw, cin)`` order. A 1x1 kernel's columns are the ``[n*h*w,
+    cin]`` view of the input itself, with nothing copied.
     """
     n, h, w, cin = xd.shape
-    kh, kw, _, cout = kd.shape
+    if kh == kw == 1:
+        return xd.reshape(n * h * w, cin)
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=xd.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = xd
     # windows arrive as [n, h, w, cin, kh, kw]; reorder so the flattened
     # column axis matches the kernel's (kh, kw, cin) layout
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
         n * h * w, kh * kw * cin
     )
-    out = (cols @ kd.reshape(kh * kw * cin, cout)).reshape(n, h, w, cout)
-    return out, cols
+
+
+def _correlate(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 cross-correlation on [n, h, w, cin].
+
+    The im2col columns from ``_columns`` go through one 2-D GEMM with the
+    kernel viewed as ``[kh*kw*cin, cout]``; the output is reshaped to
+    [n, h, w, cout].
+    """
+    n, h, w, _ = xd.shape
+    kh, kw, cin, cout = kd.shape
+    cols = _columns(xd, kh, kw)
+    return (cols @ kd.reshape(kh * kw * cin, cout)).reshape(n, h, w, cout)
 
 
 # Channels-last ops take per-channel sums with ``_channel_sum`` and run
@@ -159,7 +172,8 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     and its gradient is one GEMV over the ``[N, cout]`` view of the output
     gradient, as batch norm takes its sums. The backward rule skips the
     input gradient (returns ``None``) when ``x`` does not require grad, as
-    for the data batch.
+    for the data batch. The backward keeps the input, not its im2col
+    columns, and rebuilds them for the kernel gradient.
     """
     _check_batch("conv2d", x)
     kernel, bias = layer.kernel, layer.bias
@@ -171,22 +185,26 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     if not (x.data.dtype == kernel.data.dtype == bias.data.dtype):
         raise ValueError("conv2d operands must share one dtype")
 
-    kd = kernel.data
-    out, cols = _correlate(x.data, kd)
+    xd, kd = x.data, kernel.data
+    out = _correlate(xd, kd)
     n, h, w, _ = out.shape
     rows = out.reshape(n * h, w * cout)
     rows += np.tile(bias.data, w)
     needs_gx = x.requires_grad
 
     def bwd(g):
-        gk = cols.T @ g.reshape(cols.shape[0], cout)
+        # the columns are rebuilt from the kept input and freed before the
+        # input gradient builds its own, so one set is alive at a time
+        cols = _columns(xd, kh, kw)
+        gk = cols.T @ g.reshape(n * h * w, cout)
+        del cols
         gb = _channel_sum(g, cout)
         gx = None
         if needs_gx:
             # adjoint of same-padded correlation: correlate the output
             # gradient with the spatially flipped kernel, roles swapped
             k_adj = np.ascontiguousarray(kd[::-1, ::-1].transpose(0, 1, 3, 2))
-            gx, _ = _correlate(g, k_adj)
+            gx = _correlate(g, k_adj)
         return gx, gk.reshape(kh, kw, cin, cout), gb
 
     return _apply("conv2d", (x, kernel, bias), out, bwd)

@@ -411,8 +411,8 @@ def save_checkpoint(model: DcnModel, path: str) -> None:
         chunks.append(nb)
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        chunks.append(data.tobytes())
-    write_atomic(path, b"".join(chunks))
+        chunks.append(data)
+    write_atomic(path, chunks)
 
 
 def load_checkpoint(path: str) -> DcnModel:

@@ -81,6 +81,9 @@ def adam_step(
 ) -> tuple[dict[str, Tensor], AdamState]:
     """One bias-corrected Adam update; returns fresh parameter tensors.
 
+    The moments in ``state`` are updated in place, and each step is built
+    in one scratch array; the input parameter arrays are left untouched.
+
     ``grads`` holds one array per parameter. A missing or misshapen
     gradient is a ValueError and a non-finite one a NumericError, each
     naming the parameter, raised before ``state`` changes.
@@ -105,14 +108,26 @@ def adam_step(
     updated = {}
     for name, param in params.items():
         g = checked[name]
-        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        step = ADAM_LR * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-        data = param.data - step.astype(param.data.dtype, copy=False)
+        m, v = state.m[name], state.v[name]
+        # in the order b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and
+        # lr*(m/c1) / (sqrt(v/c2) + eps), so the bits equal those of the
+        # same expressions evaluated into fresh arrays
+        scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
+        m += scratch
+        np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+        scratch *= g
+        v *= ADAM_BETA2
+        v += scratch
+        data = np.divide(v, correct2)
+        np.sqrt(data, out=data)
+        data += ADAM_EPS
+        np.divide(m, correct1, out=scratch)
+        scratch *= ADAM_LR
+        scratch /= data
+        np.subtract(param.data, scratch, out=data)
         if name in _CLAMPED:
-            data = np.clip(data, 0.0, 1.0)
+            np.clip(data, 0.0, 1.0, out=data)
         updated[name] = Tensor._wrap(data, requires_grad=param.requires_grad)
     return updated, state
 
@@ -230,7 +245,7 @@ def write_ppm(image: np.ndarray, path: str) -> None:
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ValueError(f"expected a uint8 [h, w, 3] image, got {img.dtype} {img.shape}")
     h, w = img.shape[:2]
-    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
+    write_atomic(path, [f"P6\n{w} {h}\n255\n".encode("ascii"), np.ascontiguousarray(img)])
 
 
 def superpixel_truth(spmap, mask: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Layer ops against naive loop oracles and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,7 @@ class TestConv2d:
             kd = rng.normal(size=(3, 3, cin, cout)).astype(dtype)
             bd = rng.normal(size=cout).astype(dtype)
             got = conv2d(Tensor(xd), conv_layer(kd, bd)).data
-            want = layers._correlate(xd, kd)[0] + bd
+            want = layers._correlate(xd, kd) + bd
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -832,3 +834,56 @@ class TestConvFlatGemm:
         used = [p for p in model.parameters().values() if tape.on_tape(p)]
         assert len(used) == 5 * 2 * 4 + 5 * 4 + 2  # every conv and norm layer, the head
         assert {tape.node_id(p) for p in used} == set(grads)  # no dropout mask either
+
+
+def explicit_columns(xd, kh, kw):
+    """im2col written out tap by tap: row ``(i, y, x)``, column ``(dy, dx, c)``."""
+    n, h, w, cin = xd.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    cols = np.empty((n * h * w, kh * kw * cin), dtype=xd.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            tap = (dy * kw + dx) * cin
+            cols[:, tap : tap + cin] = xp[:, dy : dy + h, dx : dx + w].reshape(-1, cin)
+    return cols
+
+
+class TestConvKeptInput:
+    """The backward keeps the conv's input and rebuilds its columns."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_kernel_gradient_equals_explicit_im2col_gemm(self, dtype, k):
+        rng = np.random.default_rng(73)
+        n, h, w, cin, cout = 3, 16, 12, 6, 10
+        layer = Conv2dLayer(
+            Tensor(rng.standard_normal((k, k, cin, cout)), dtype=dtype, requires_grad=True),
+            Tensor(rng.standard_normal(cout), dtype=dtype, requires_grad=True),
+        )
+        xd = rng.standard_normal((n, h, w, cin)).astype(dtype)
+        g = rng.standard_normal((n, h, w, cout)).astype(dtype)
+        _, _, gk, _ = _conv_pass(Tensor(xd, requires_grad=True), layer, Tensor(g))
+        want = explicit_columns(xd, k, k).T @ g.reshape(n * h * w, cout)
+        assert gk.dtype == dtype
+        assert gk.tobytes() == want.reshape(k, k, cin, cout).tobytes()
+
+    def test_tape_holds_no_columns_after_forward(self):
+        rng = np.random.default_rng(74)
+        c = 16
+        layer = Conv2dLayer(
+            Tensor(rng.standard_normal((3, 3, c, c)), dtype=np.float32, requires_grad=True),
+            Tensor(np.zeros(c), dtype=np.float32, requires_grad=True),
+        )
+        x = Tensor(rng.standard_normal((4, 32, 32, c)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv2d(x, layer)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.entries) == 1 and out.shape == x.shape
+        # the output is one input's worth; 3x3 columns would add nine
+        assert held < 3 * x.data.nbytes

@@ -1,5 +1,7 @@
+import hashlib
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -557,6 +559,35 @@ class TestCheckpoint:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="read"):
             load_checkpoint(str(tmp_path / "absent.dcnw"))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [DcnConfig(block_channels=(8, 16, 32, 64, 128), embedding_dim=8), DcnConfig()],
+        ids=["narrow", "default"],
+    )
+    def test_save_load_save_is_byte_identical(self, tmp_path, cfg):
+        first, second = str(tmp_path / "a.dcnw"), str(tmp_path / "b.dcnw")
+        model = build(cfg)
+        model.global_step = 5
+        save_checkpoint(model, first)
+        save_checkpoint(load_checkpoint(first), second)
+        digests = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (first, second)]
+        assert digests[0] == digests[1]
+
+    def test_save_streams_the_tensors_without_a_copy(self, tmp_path):
+        model = build(DcnConfig())
+        tensors = list(model.parameters().values()) + list(model.buffers().values())
+        payload = sum(t.data.nbytes for t in tensors)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_checkpoint(model, str(tmp_path / "model.dcnw"))
+            rise = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(tmp_path / "model.dcnw") > payload
+        assert rise < payload / 4
 
 
 class TestEndToEndGradient:

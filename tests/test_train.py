@@ -208,6 +208,53 @@ class TestAdam:
         with pytest.raises(ValueError, match="state"):
             adam_step(params, {}, state)
 
+    @staticmethod
+    def _oracle_step(params, grads, m, v, t):
+        """The Adam update as first written, one fresh array per term (frozen)."""
+        b1, b2, lr, eps = 0.9, 0.999, 0.001, 1e-8
+        c1 = 1.0 - b1**t
+        c2 = 1.0 - b2**t
+        out = {}
+        for name, p in params.items():
+            g = grads[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            step = lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+            data = p - step.astype(p.dtype, copy=False)
+            if name == "codebook.prototypes":
+                data = np.clip(data, 0.0, 1.0)
+            out[name] = data
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ten_steps_match_the_frozen_oracle_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(32)
+        values = {
+            "w": rng.standard_normal((3, 4)).astype(dtype),
+            # rows at the box edges, pushed outwards, so the clamp engages
+            "codebook.prototypes": np.array([[0.9995, 0.0005], [0.5, 0.001]], dtype=dtype),
+        }
+        params = {n: Tensor(a.copy(), requires_grad=True) for n, a in values.items()}
+        state = AdamState.create(params)
+        m = {n: np.zeros_like(a) for n, a in values.items()}
+        v = {n: np.zeros_like(a) for n, a in values.items()}
+        for t in range(1, 11):
+            grads = {n: rng.standard_normal(a.shape).astype(dtype) for n, a in values.items()}
+            grads["codebook.prototypes"][:, 0] = -np.abs(grads["codebook.prototypes"][:, 0])
+            grads["codebook.prototypes"][:, 1] = np.abs(grads["codebook.prototypes"][:, 1])
+            given = {n: p.data.tobytes() for n, p in params.items()}
+            updated, state = adam_step(params, grads, state)
+            assert {n: p.data.tobytes() for n, p in params.items()} == given
+            values = self._oracle_step(values, grads, m, v, t)
+            for name in values:
+                assert updated[name].data.dtype == dtype
+                assert updated[name].data.tobytes() == values[name].tobytes(), (name, t)
+                assert state.m[name].tobytes() == m[name].tobytes(), (name, t)
+                assert state.v[name].tobytes() == v[name].tobytes(), (name, t)
+            params = updated
+        book = params["codebook.prototypes"].data
+        assert book[0, 0] == 1.0 and book[0, 1] == 0.0
+
     def test_requires_grad_preserved(self):
         params = self._param([1.0])
         updated, _ = adam_step(params, {"w": np.ones(1)}, AdamState.create(params))
