@@ -218,18 +218,21 @@ def write_atomic(path: str, chunks: Iterable[bytes | np.ndarray]) -> None:
 
     A single blob is passed as one chunk; a contiguous array is written
     from its own buffer, so no joined copy of the file is made. The bytes
-    go to a temporary file in the same directory, which then replaces
-    ``path``; on failure the temporary file is removed, so no partial
-    file is left behind. An OS failure, such as a missing directory, is a
-    DataError naming ``path``.
+    go to a temporary file in the same directory, which takes the mode
+    ``open(path, "wb")`` gives and replaces ``path``; on failure it is
+    removed, so no partial file is left behind. An OS failure, such as a
+    missing directory, is a DataError naming ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 for chunk in chunks:
                     fh.write(chunk)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

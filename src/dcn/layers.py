@@ -149,15 +149,13 @@ def _correlate(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
     return (cols @ kd.reshape(kh * kw * cin, cout)).reshape(n, h, w, cout)
 
 
-# Channels-last ops take per-channel sums with ``_channel_sum`` and run
-# their elementwise work on the [n * h, w * c] row view, with each channel
-# vector tiled along a row by ``np.tile(v, w)``: broadcasting a [c] vector
-# over [n, h, w, c] gives the same bits but runs numpy's inner loop only c
-# wide.
-def _channel_sum(a: np.ndarray, channels: int) -> np.ndarray:
-    """Per-channel sums of a channels-last array as one GEMV, ``ones[N] @ a.reshape(N, c)``."""
-    flat = a.reshape(-1, channels)
-    return np.ones(flat.shape[0], dtype=a.dtype) @ flat
+# Channels-last ops run their per-channel work on the [n * h, w * c] row
+# view, with each channel vector tiled along a row by ``np.tile(v, w)``:
+# broadcasting a [c] vector over [n, h, w, c] gives the same bits but runs
+# numpy's inner loop only c wide.
+def _channel_sum(a: np.ndarray, w: int, c: int) -> np.ndarray:
+    """Per-channel sums in one fixed order: the row view's rows, then its ``w`` groups."""
+    return np.add.reduce(a.reshape(-1, w * c), axis=0).reshape(w, c).sum(axis=0)
 
 
 def _check_batch(op: str, x: Tensor) -> None:
@@ -169,8 +167,8 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     """2-d convolution of an [n, h, w, cin] batch, channels last.
 
     The bias is added on the ``[n * h, w * cout]`` row view of the output,
-    and its gradient is one GEMV over the ``[N, cout]`` view of the output
-    gradient, as batch norm takes its sums. The backward rule skips the
+    and its gradient is the output gradient's per-channel sum on the same
+    view, as batch norm takes its sums. The backward rule skips the
     input gradient (returns ``None``) when ``x`` does not require grad, as
     for the data batch. The backward keeps the input, not its im2col
     columns, and rebuilds them for the kernel gradient.
@@ -198,7 +196,7 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
         cols = _columns(xd, kh, kw)
         gk = cols.T @ g.reshape(n * h * w, cout)
         del cols
-        gb = _channel_sum(g, cout)
+        gb = _channel_sum(g, w, cout)
         gx = None
         if needs_gx:
             # adjoint of same-padded correlation: correlate the output
@@ -289,10 +287,10 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
 
     Training normalizes by batch statistics (population variance) and
     folds them into the running buffers; inference normalizes by the
-    buffers and leaves them untouched. Every per-channel sum is one GEMV,
-    ``ones[N] @ x.reshape(N, c)`` over the contiguous ``[N, c]`` view of
-    the batch (``N = n * h * w``). The output is ``xc * (gamma * inv) +
-    beta`` with ``xc = x - mean`` and ``inv = 1 / sqrt(var + BN_EPSILON)``.
+    buffers and leaves them untouched. Every per-channel sum is taken on
+    the ``[n * h, w * c]`` row view in one fixed order (``_channel_sum``).
+    The output is ``xc * (gamma * inv) + beta`` with ``xc = x - mean`` and
+    ``inv = 1 / sqrt(var + BN_EPSILON)``.
 
     The whole layer is one tape op whose backward is the closed form of
     Ioffe & Szegedy (2015). With ``scale = gamma * inv``, the input
@@ -301,8 +299,7 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
     sum(g * xc) / N - scale * sum(g) / N``.
     """
     training = _check_phase(phase)
-    if batch.data.ndim != 4:
-        raise ValueError(f"batch norm input must be [n, h, w, c], got {batch.shape}")
+    _check_batch("batch norm", batch)
     channels = layer.gamma.shape[0]
     if batch.shape[3] != channels:
         raise ValueError(f"batch norm expects {channels} channels, got {batch.shape[3]}")
@@ -314,9 +311,9 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
     count = n * h * w
     rows = x.reshape(n * h, w * channels)
     if training:
-        mu = _channel_sum(x, channels) / count
+        mu = _channel_sum(x, w, channels) / count
         xc = rows - np.tile(mu, w)
-        var = _channel_sum(xc * xc, channels) / count
+        var = _channel_sum(xc * xc, w, channels) / count
         m = BN_MOMENTUM
         rdtype = layer.running_mean.data.dtype
         layer.running_mean = Tensor._wrap(
@@ -339,8 +336,8 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
 
     def bwd(g):
         g = g.reshape(xc.shape)
-        gy_xc = _channel_sum(g * xc, channels)
-        g_sum = _channel_sum(g, channels)
+        gy_xc = _channel_sum(g * xc, w, channels)
+        g_sum = _channel_sum(g, w, channels)
         gx = g * np.tile(scale, w)
         if training:
             gx -= xc * np.tile(scale * inv * inv * gy_xc / count, w)

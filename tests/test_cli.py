@@ -693,6 +693,28 @@ class TestThreadCap:
         assert cli.run(["synth", "--seed", "0", "--count", "1", "--size", "32", "--out", out]) == 1
         capsys.readouterr()
 
+    def test_thread_count_changes_no_training_output(self, tmp_path):
+        # the cap must be set before numpy loads, so each run is its own
+        # process; 16 channels and up are wide enough for BLAS to split work
+        data = str(tmp_path / "scenes")
+        assert cli.run(["synth", "--seed", "0", "--count", "2", "--size", "128", "--out", data]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            model = str(tmp_path / f"model_{threads}.dcnw")
+            hist = str(tmp_path / f"hist_{threads}.json")
+            proc = subprocess.run(
+                [sys.executable, "-m", "dcn", "train", "--data", data, "--epochs", "1",
+                 "--batch", "8", "--window", "64", "--stride", "64",
+                 "--channels", "16,32,64,128,256", "--dim", "8", "--dropout", "0.0",
+                 "--out", model, "--history", hist],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "DCN_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((open(model, "rb").read(), open(hist, "rb").read()))
+        assert outputs[0] == outputs[1]
+
 
 class TestSegmentWorkers:
     """Chunks segmented in forked processes give the outputs of one process."""

@@ -234,6 +234,20 @@ class TestBmsr:
         assert stack_bytes(read_bmsr(path)) == stack_bytes(stack)
         assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_written_file_gets_the_umask_mode(self, tmp_path, umask, mode):
+        # open(path, "wb") would create the file 0o666 less the umask;
+        # mkstemp's temporary file starts owner-only
+        path = str(tmp_path / "scene.bmsr")
+        old = os.umask(umask)
+        try:
+            write_bmsr(random_stack(np.random.default_rng(6), 4, 4), path)
+        finally:
+            os.umask(old)
+        assert os.stat(path).st_mode & 0o777 == mode
+
 
 class TestComputeNdvi:
     def _stack(self, nir, red):

@@ -167,7 +167,8 @@ class TestConv2d:
         with GradTape() as tape:
             grads = backward(tape, tsum(mul(conv2d(x, layer), Tensor(probe))))
         got = tape.gradient(grads, layer.bias).data
-        # the GEMV sums in BLAS order: compare with float64 sums to rounding
+        # the op sums rows, then channel groups, in its dtype: compare with
+        # float64 sums to rounding
         want = probe.astype(np.float64).sum(axis=(0, 1, 2))
         tol = 64 * np.finfo(dtype).eps * np.abs(probe).astype(np.float64).sum(axis=(0, 1, 2))
         assert got.dtype == dtype
@@ -442,6 +443,31 @@ def _bn_case(rng):
 BN_PHASES = [pytest.param(phase, id=f"standard-{phase}") for phase in ("train", "infer")]
 
 
+def _sequential_channel_sum(a, w, c):
+    """Add the [n * h, w * c] rows one at a time, then the w channel groups."""
+    rows = a.reshape(-1, w * c)
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc += row
+    groups = acc.reshape(w, c)
+    out = groups[0].copy()
+    for group in groups[1:]:
+        out += group
+    return out
+
+
+class TestChannelSum:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 64, 64, 8), (8, 4, 4, 128), (1, 64, 64, 8), (3, 8, 8, 5)])
+    def test_order_is_rows_then_groups(self, dtype, shape):
+        # one fixed order, so no BLAS build or thread count changes the bits
+        a = np.random.default_rng(247).normal(size=shape).astype(dtype)
+        _, _, w, c = shape
+        got = layers._channel_sum(a, w, c)
+        want = _sequential_channel_sum(a, w, c)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestBatchNorm:
     @pytest.mark.parametrize("phase", BN_PHASES)
     def test_matches_composed_oracle(self, phase):
@@ -458,8 +484,9 @@ class TestBatchNorm:
             with GradTape() as oracle_tape:
                 want = composed_batch_norm(x, twin, phase)
                 oracle_grads = backward(oracle_tape, tsum(mul(want, probe)))
-            # the op sums channels in BLAS order, the oracle in numpy's, so
-            # the two agree to rounding, not bit for bit
+            # the op sums rows, then channel groups; the oracle's mean over
+            # (n, h, w) adds in another order, so the two agree to rounding,
+            # not bit for bit
             tol = 16 * np.finfo(out.data.dtype).eps
             for got, expected in (
                 (out, want),
@@ -549,13 +576,15 @@ class TestBatchNorm:
         # with momentum 0 the running buffers hold the batch statistics
         monkeypatch.setattr(layers, "BN_MOMENTUM", 0.0)
         rng = np.random.default_rng(245)
-        xd = rng.normal(size=(8, 64, 64, 8)).astype(np.float32)
-        xd[..., 5] += 1e3
-        layer = _bn(8)
-        batch_norm(Tensor(xd), layer, "train")
-        ref = xd.astype(np.float64)
-        np.testing.assert_allclose(layer.running_mean.data, ref.mean(axis=(0, 1, 2)), rtol=1e-4)
-        np.testing.assert_allclose(layer.running_var.data, ref.var(axis=(0, 1, 2)), rtol=1e-4)
+        # the second shape sums 2048 rows in sequence
+        for shape in [(8, 64, 64, 8), (16, 128, 128, 8)]:
+            xd = rng.normal(size=shape).astype(np.float32)
+            xd[..., 5] += 1e3
+            layer = _bn(8)
+            batch_norm(Tensor(xd), layer, "train")
+            ref = xd.astype(np.float64)
+            np.testing.assert_allclose(layer.running_mean.data, ref.mean(axis=(0, 1, 2)), rtol=1e-4)
+            np.testing.assert_allclose(layer.running_var.data, ref.var(axis=(0, 1, 2)), rtol=1e-4)
 
     def test_constant_channel_is_finite(self):
         rng = np.random.default_rng(246)
