@@ -14,6 +14,7 @@ independent numeric oracle used to validate every backward rule.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -25,6 +26,10 @@ from .errors import NumericError
 DEFAULT_DTYPE = np.float32
 
 _tape_stacks = threading.local()
+
+# every tensor takes the next serial as its tape node id, so a later
+# tensor never reuses the id of a freed one
+_serials = itertools.count()
 
 
 def _stack() -> list["GradTape"]:
@@ -51,10 +56,11 @@ class Tensor:
 
     Construction copies the given values (value semantics); the only
     sanctioned in-place mutation of ``data`` is the optimizer's
-    parameter update.
+    parameter update. ``node`` is the tensor's serial, unique in the
+    process, which a tape records in place of the tensor.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         if dtype is None:
@@ -70,6 +76,7 @@ class Tensor:
         _require_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.node = next(_serials)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
@@ -77,6 +84,7 @@ class Tensor:
         t = object.__new__(cls)
         t.data = arr
         t.requires_grad = requires_grad
+        t.node = next(_serials)
         return t
 
     @property
@@ -106,7 +114,11 @@ class Tensor:
 
 @dataclass(frozen=True)
 class TapeEntry:
-    """One recorded operation: ids obey input < output (topological)."""
+    """One recorded operation, naming its tensors by their ``node`` serials.
+
+    Serials grow with creation, so every input id is below the output id.
+    The entry holds no tensor; ``backward`` keeps what its rule reads.
+    """
 
     op: str
     input_ids: tuple[int, ...]
@@ -117,6 +129,13 @@ class TapeEntry:
 class GradTape:
     """Ordered record of operations for one forward computation.
 
+    The tape keeps the entries, the ids of the tensors they produced, and
+    the leaves that take a gradient: tensors with ``requires_grad`` that
+    were watched or fed an op without being produced on this tape
+    (parameters, ``grad_check`` inputs). Those leaves are the only
+    tensors it pins; an activation lives only as long as a backward rule
+    keeps its array.
+
     Single-writer: record and replay on one logical thread. Replaying
     ``backward`` never mutates the tape, so repeated calls are
     bit-identical.
@@ -124,9 +143,8 @@ class GradTape:
 
     def __init__(self):
         self._entries: list[TapeEntry] = []
-        self._ids: dict[int, int] = {}
-        self._tensors: list[Tensor] = []
         self._produced: set[int] = set()
+        self._leaves: dict[int, Tensor] = {}
 
     def __enter__(self) -> "GradTape":
         _stack().append(self)
@@ -141,80 +159,54 @@ class GradTape:
         return tuple(self._entries)
 
     def watch(self, t: Tensor) -> int:
-        """Register a tensor as a node; returns its node id."""
-        return self._ensure_node(t)
-
-    def on_tape(self, t: Tensor) -> bool:
-        return id(t) in self._ids
-
-    def node_id(self, t: Tensor) -> int:
-        nid = self._ids.get(id(t))
-        if nid is None:
-            raise ValueError("tensor is not on this tape")
-        return nid
-
-    def tensor(self, node_id: int) -> Tensor:
-        return self._tensors[node_id]
+        """Make a leaf with ``requires_grad`` take a gradient, used or not; returns its id."""
+        if t.requires_grad and t.node not in self._produced:
+            self._leaves[t.node] = t
+        return t.node
 
     def gradient(self, grad_map: dict[int, Tensor], t: Tensor) -> Optional[Tensor]:
-        """Look up a tensor's gradient in a map returned by backward()."""
-        return grad_map.get(self.node_id(t))
-
-    def _ensure_node(self, t: Tensor) -> int:
-        nid = self._ids.get(id(t))
-        if nid is None:
-            nid = len(self._tensors)
-            self._ids[id(t)] = nid
-            self._tensors.append(t)
-        return nid
+        """A tensor's gradient in a map from backward(), or None if it has none."""
+        return grad_map.get(t.node)
 
     def _record(self, op: str, inputs: Sequence[Tensor], output: Tensor, backward_fn) -> None:
-        input_ids = tuple(self._ensure_node(t) for t in inputs)
-        output_id = self._ensure_node(output)
-        self._entries.append(TapeEntry(op, input_ids, output_id, backward_fn))
-        self._produced.add(output_id)
-
-    def leaf_ids(self) -> list[int]:
-        """Node ids of watched tensors that were not produced by an op."""
-        return [i for i in range(len(self._tensors)) if i not in self._produced]
+        for t in inputs:
+            self.watch(t)
+        self._entries.append(TapeEntry(op, tuple(t.node for t in inputs), output.node, backward_fn))
+        self._produced.add(output.node)
 
 
 def backward(tape: GradTape, loss: Tensor) -> dict[int, Tensor]:
-    """Replay the tape in reverse, returning watched-leaf gradients.
+    """Replay the tape in reverse, returning watched-leaf gradients by node id.
 
     The loss must be a scalar produced on the tape. The map holds one
     gradient of its own shape for every watched leaf with
     ``requires_grad`` (zeros when the loss does not depend on it) and
     nothing else: the gradient of a node an op produced is freed once
     that op's backward rule has consumed it, and gradients flowing into
-    tensors without ``requires_grad`` (data, dropout masks) are dropped.
+    other tensors (data, dropout masks) are dropped.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    loss_id = tape.node_id(loss)
-    if loss_id not in tape._produced:
+    if loss.node not in tape._produced:
         raise ValueError("loss was not produced by an operation on this tape")
 
-    grads: dict[int, np.ndarray] = {loss_id: np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
     for entry in reversed(tape._entries):
         g_out = grads.pop(entry.output_id, None)
         if g_out is None:
             continue
         in_grads = entry.backward(g_out)
         for nid, g_in in zip(entry.input_ids, in_grads):
-            if g_in is None or not tape._tensors[nid].requires_grad:
+            if g_in is None or not (nid in tape._produced or nid in tape._leaves):
                 continue
             if np.isnan(g_in).any():
                 raise NumericError(f"NaN gradient emitted by backward rule of '{entry.op}'")
             acc = grads.get(nid)
             grads[nid] = g_in if acc is None else acc + g_in
 
-    result: dict[int, Tensor] = {}
-    for nid, arr in grads.items():
-        result[nid] = Tensor._wrap(arr)
-    for nid in tape.leaf_ids():
-        t = tape.tensor(nid)
-        if t.requires_grad and nid not in result:
+    result = {nid: Tensor._wrap(arr) for nid, arr in grads.items()}
+    for nid, t in tape._leaves.items():
+        if nid not in result:
             result[nid] = Tensor._wrap(np.zeros_like(t.data))
     return result
 

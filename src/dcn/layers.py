@@ -273,11 +273,11 @@ def upsample_nearest2(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    xd = x.data
-    out = np.maximum(xd, 0)
+    """Elementwise ``max(x, 0)``; the backward masks by ``out > 0``, as ``x > 0`` would."""
+    out = np.maximum(x.data, 0)
 
     def bwd(g):
-        return (g * (xd > 0),)
+        return (g * (out > 0),)
 
     return _apply("relu", (x,), out, bwd)
 
@@ -335,6 +335,7 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
     out = out.reshape(x.shape)
 
     def bwd(g):
+        # naming the input here would keep it alive until backward
         g = g.reshape(xc.shape)
         gy_xc = _channel_sum(g * xc, w, channels)
         g_sum = _channel_sum(g, w, channels)
@@ -342,7 +343,7 @@ def batch_norm(batch: Tensor, layer: BatchNormLayer, phase: str) -> Tensor:
         if training:
             gx -= xc * np.tile(scale * inv * inv * gy_xc / count, w)
             gx -= np.tile(scale * g_sum / count, w)
-        return gx.reshape(x.shape), gy_xc * inv, g_sum
+        return gx.reshape(n, h, w, channels), gy_xc * inv, g_sum
 
     return _apply("batch_norm", (batch, layer.gamma, layer.beta), out, bwd)
 

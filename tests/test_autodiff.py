@@ -145,6 +145,21 @@ class TestForwardValues:
 
 
 class TestTapeMechanics:
+    def test_node_ids_are_serials_no_dropped_output_lends(self):
+        w = Tensor([0.5, -1.5], dtype=np.float64, requires_grad=True)
+        with GradTape() as tape:
+            for _ in range(200):
+                square(mul(w, 3.0))  # each output is freed at once
+            x = Tensor([2.0, -3.0], dtype=np.float64, requires_grad=True)
+            y = tsum(mul(x, x))
+        ids = [entry.output_id for entry in tape.entries]
+        assert len(set(ids)) == len(ids) == 402
+        assert x.node not in ids and w.node not in ids
+        grads = backward(tape, y)
+        np.testing.assert_array_equal(tape.gradient(grads, x).data, [4.0, -6.0])
+        np.testing.assert_array_equal(tape.gradient(grads, w).data, [0.0, 0.0])
+        assert tape.gradient(grads, Tensor([1.0], dtype=np.float64)) is None
+
     def test_no_recording_without_tape(self):
         a = Tensor([1.0], requires_grad=True)
         assert active_tape() is None
@@ -400,7 +415,7 @@ class TestBackwardReleasesGradients:
             h = mul(add(mul(x, w), const), x)
             y = tsum(square(h))
         grads = backward(tape, y)
-        assert set(grads) == {tape.node_id(t) for t in (x, w, unused)}
+        assert set(grads) == {t.node for t in (x, w, unused)}
         assert not {entry.output_id for entry in tape.entries} & set(grads)
         assert tape.gradient(grads, const) is None
         np.testing.assert_array_equal(tape.gradient(grads, unused).data, [0.0, 0.0])
