@@ -136,9 +136,10 @@ class GradTape:
     tensors it pins; an activation lives only as long as a backward rule
     keeps its array.
 
-    Single-writer: record and replay on one logical thread. Replaying
-    ``backward`` never mutates the tape, so repeated calls are
-    bit-identical.
+    Single-writer: record and replay on one logical thread. ``backward``
+    consumes the tape: it drops each entry once its rule has run, so the
+    arrays a rule keeps are freed as the replay passes them, and a
+    second ``backward`` on the same tape is an error.
     """
 
     def __init__(self):
@@ -183,15 +184,26 @@ def backward(tape: GradTape, loss: Tensor) -> dict[int, Tensor]:
     ``requires_grad`` (zeros when the loss does not depend on it) and
     nothing else: the gradient of a node an op produced is freed once
     that op's backward rule has consumed it, and gradients flowing into
-    other tensors (data, dropout masks) are dropped.
+    other tensors (data) are dropped.
+
+    The replay pops each entry off the tape before running its rule, so
+    the rule and the arrays it keeps are freed once it has run. The tape
+    is empty afterwards, and a second call on it raises ``ValueError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
     if loss.node not in tape._produced:
-        raise ValueError("loss was not produced by an operation on this tape")
+        raise ValueError(
+            "loss was not produced by an operation on this tape, "
+            "or an earlier backward consumed its entry"
+        )
 
     grads: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
-    for entry in reversed(tape._entries):
+    entries = tape._entries
+    while entries:
+        entry = entries.pop()
+        # the inputs' entries are older, still on the tape and still produced
+        tape._produced.discard(entry.output_id)
         g_out = grads.pop(entry.output_id, None)
         if g_out is None:
             continue

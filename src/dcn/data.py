@@ -487,19 +487,25 @@ def synth_scene(spec: SyntheticSceneSpec) -> RasterStack:
         mask[window] = 1.0
         labels[window] = LABEL_BUILDING
 
-    rows, cols = np.indices(shape)
     veg_count = int(rng.integers(spec.vegetation[0], spec.vegetation[1] + 1))
     for _ in range(veg_count):
         cy = rng.uniform(0, spec.height)
         cx = rng.uniform(0, spec.width)
         ry = rng.uniform(spec.vegetation_radius[0], spec.vegetation_radius[1])
         rx = rng.uniform(spec.vegetation_radius[0], spec.vegetation_radius[1])
+        # the disc is painted on its bounding box, widened by a pixel each
+        # way so that rounding in the test below cannot drop an edge pixel
+        y0, y1 = max(0, int(cy - ry) - 1), min(spec.height, int(cy + ry) + 2)
+        x0, x1 = max(0, int(cx - rx) - 1), min(spec.width, int(cx + rx) + 2)
+        box = (slice(y0, y1), slice(x0, x1))
+        rows = np.arange(y0, y1)[:, None]
+        cols = np.arange(x0, x1)
         blob = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
-        blob &= mask == 0.0  # vegetation never paints over a roof
+        blob &= mask[box] == 0.0  # vegetation never paints over a roof
         for role in spectral:
-            spectral[role][blob] = _VEGETATION[role]
-        dsm[blob] = _VEGETATION_DSM
-        labels[blob] = LABEL_VEGETATION
+            spectral[role][box][blob] = _VEGETATION[role]
+        dsm[box][blob] = _VEGETATION_DSM
+        labels[box][blob] = LABEL_VEGETATION
 
     for role in spectral:
         noisy = spectral[role] + rng.normal(0.0, spec.noise_std, shape)

@@ -17,13 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _apply, mul
+from .autodiff import Tensor, _apply
 
 # unused here; perfbench/tracer.py patches these names in this module,
 # so they stay importable from it
-from .autodiff import add, div, sqrt, square, sub, tmean  # noqa: F401
+from .autodiff import add, div, mul, sqrt, square, sub, tmean  # noqa: F401
 
 PHASES = ("train", "infer")
+
+COLUMN_BYTES = 16 << 20
+"""Byte budget for the im2col columns a convolution builds at once; see ``conv2d``."""
 
 BN_EPSILON = 1e-5
 """Added to the variance before its square root in ``batch_norm``."""
@@ -115,38 +118,82 @@ class DropoutLayer:
         self.rng = np.random.default_rng(self.seed)
 
 
-def _columns(xd: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """The im2col columns ``[n*h*w, kh*kw*cin]`` of [n, h, w, cin], zero same-padded.
+def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The im2col columns ``[n*h*w, kh*kw*cin]`` of a padded [n, h+kh-1, w+kw-1, cin].
 
     Each row holds one output pixel's window in the kernel's
-    ``(kh, kw, cin)`` order. A 1x1 kernel's columns are the ``[n*h*w,
+    ``(kh, kw, cin)`` order. A 1x1 window's columns are the ``[n*h*w,
     cin]`` view of the input itself, with nothing copied.
     """
-    n, h, w, cin = xd.shape
+    n, hp, wp, cin = xp.shape
     if kh == kw == 1:
-        return xd.reshape(n * h * w, cin)
-    ph, pw = kh // 2, kw // 2
-    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=xd.dtype)
-    xp[:, ph : ph + h, pw : pw + w] = xd
+        return xp.reshape(n * hp * wp, cin)
     # windows arrive as [n, h, w, cin, kh, kw]; reorder so the flattened
     # column axis matches the kernel's (kh, kw, cin) layout
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        n * h * w, kh * kw * cin
-    )
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
+
+
+def _pad(xd: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """[n, h, w, cin] zero same-padded for a kh x kw kernel; a 1x1 kernel's is ``xd`` itself."""
+    if kh == kw == 1:
+        return xd
+    n, h, w, cin = xd.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=xd.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = xd
+    return xp
+
+
+def _columns(xd: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The im2col columns ``[n*h*w, kh*kw*cin]`` of [n, h, w, cin], zero same-padded."""
+    return _windows(_pad(xd, kh, kw), kh, kw)
 
 
 def _correlate(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 cross-correlation on [n, h, w, cin].
 
-    The im2col columns from ``_columns`` go through one 2-D GEMM with the
-    kernel viewed as ``[kh*kw*cin, cout]``; the output is reshaped to
-    [n, h, w, cout].
+    The kernel is viewed as ``[kh*kw*cin, cout]``. The tiles go through
+    it in runs whose im2col columns fit ``COLUMN_BYTES``, at least one
+    tile a run, one GEMM each into the rows of a preallocated output;
+    a batch within the budget is one GEMM. The runs are near-equal in
+    size, so no run is a small remainder whose product takes another
+    BLAS kernel.
     """
     n, h, w, _ = xd.shape
     kh, kw, cin, cout = kd.shape
-    cols = _columns(xd, kh, kw)
-    return (cols @ kd.reshape(kh * kw * cin, cout)).reshape(n, h, w, cout)
+    k2 = kd.reshape(kh * kw * cin, cout)
+    per_run = max(1, COLUMN_BYTES // (h * w * kh * kw * cin * xd.itemsize))
+    runs = -(-n // per_run)
+    out = np.empty((n * h * w, cout), dtype=xd.dtype)
+    for i in range(runs):
+        a, b = n * i // runs, n * (i + 1) // runs
+        np.matmul(_columns(xd[a:b], kh, kw), k2, out=out[a * h * w : b * h * w])
+    return out.reshape(n, h, w, cout)
+
+
+def _kernel_gradient(xd: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """``_columns(xd, kh, kw).T @ g`` as [kh*kw*cin, cout], built within ``COLUMN_BYTES``.
+
+    The kernel rows ``dy`` go in groups of as many as fit the budget, at
+    least one. A group's columns come from one strided copy of the
+    padded input, and one GEMM writes its rows of the result.
+    """
+    n, h, w, cin = xd.shape
+    cout = g.shape[-1]
+    g2 = g.reshape(n * h * w, cout)
+    xp = _pad(xd, kh, kw)
+    step = max(1, COLUMN_BYTES // (n * h * w * kw * cin * xd.itemsize))
+    gk = np.empty((kh * kw * cin, cout), dtype=xd.dtype)
+    for dy in range(0, kh, step):
+        rows = min(step, kh - dy)
+        # unnamed, so a group's columns are freed before the next group's are built
+        np.matmul(
+            _windows(xp[:, dy : dy + h + rows - 1], rows, kw).T,
+            g2,
+            out=gk[dy * kw * cin : (dy + rows) * kw * cin],
+        )
+    return gk
 
 
 # Channels-last ops run their per-channel work on the [n * h, w * c] row
@@ -171,7 +218,10 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     view, as batch norm takes its sums. The backward rule skips the
     input gradient (returns ``None``) when ``x`` does not require grad, as
     for the data batch. The backward keeps the input, not its im2col
-    columns, and rebuilds them for the kernel gradient.
+    columns, and rebuilds them for the kernel gradient. Every column
+    matrix, forward and backward, fits ``COLUMN_BYTES`` unless it holds
+    a single tile or kernel row: the correlations take a run of tiles at
+    a time, the kernel gradient a group of kernel rows at a time.
     """
     _check_batch("conv2d", x)
     kernel, bias = layer.kernel, layer.bias
@@ -191,11 +241,7 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     needs_gx = x.requires_grad
 
     def bwd(g):
-        # the columns are rebuilt from the kept input and freed before the
-        # input gradient builds its own, so one set is alive at a time
-        cols = _columns(xd, kh, kw)
-        gk = cols.T @ g.reshape(n * h * w, cout)
-        del cols
+        gk = _kernel_gradient(xd, g, kh, kw)
         gb = _channel_sum(g, w, cout)
         gx = None
         if needs_gx:
@@ -354,7 +400,8 @@ def dropout(x: Tensor, layer: DropoutLayer, phase: str) -> Tensor:
     Surviving activations are scaled by 1/(1-rate) during training so
     the expected value is preserved; inference and rate 0 return the
     input tensor unchanged. Mask draws advance the layer's private
-    generator, so a fixed seed replays the same mask sequence.
+    generator, so a fixed seed replays the same mask sequence. The
+    backward keeps only the mask, not the input.
     """
     training = _check_phase(phase)
     if not training or layer.rate == 0.0:
@@ -363,4 +410,8 @@ def dropout(x: Tensor, layer: DropoutLayer, phase: str) -> Tensor:
     mask = (layer.rng.random(x.shape) < keep).astype(x.data.dtype) / np.asarray(
         keep, dtype=x.data.dtype
     )
-    return mul(x, Tensor._wrap(mask))
+
+    def bwd(g):
+        return (g * mask,)
+
+    return _apply("dropout", (x,), x.data * mask, bwd)

@@ -201,17 +201,22 @@ class TestTapeMechanics:
         with pytest.raises(ValueError):
             backward(tape, a)
 
-    def test_backward_twice_is_bit_identical(self):
+    def test_backward_consumes_the_tape_reruns_are_bit_identical(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(4, 3)), dtype=np.float64, requires_grad=True)
         w = Tensor(rng.normal(size=3), dtype=np.float64, requires_grad=True)
-        with GradTape() as tape:
-            y = tsum(square(add(mul(x, w), 0.5)))
-        g1 = backward(tape, y)
-        g2 = backward(tape, y)
-        assert set(g1) == set(g2)
+        runs = []
+        for _ in range(2):
+            with GradTape() as tape:
+                y = tsum(square(add(mul(x, w), 0.5)))
+            runs.append(backward(tape, y))
+            assert tape.entries == ()
+            with pytest.raises(ValueError, match="consumed"):
+                backward(tape, y)
+        g1, g2 = runs
+        assert set(g1) == set(g2) == {x.node, w.node}
         for nid in g1:
-            assert np.array_equal(g1[nid].data, g2[nid].data)
+            assert g1[nid].data.tobytes() == g2[nid].data.tobytes()
 
     def test_reused_input_accumulates_gradient(self):
         x = Tensor([1.0, 2.0, 3.0], dtype=np.float64, requires_grad=True)
@@ -414,22 +419,43 @@ class TestBackwardReleasesGradients:
             tape.watch(unused)
             h = mul(add(mul(x, w), const), x)
             y = tsum(square(h))
+        produced = {entry.output_id for entry in tape.entries}
         grads = backward(tape, y)
         assert set(grads) == {t.node for t in (x, w, unused)}
-        assert not {entry.output_id for entry in tape.entries} & set(grads)
+        assert not produced & set(grads)
         assert tape.gradient(grads, const) is None
         np.testing.assert_array_equal(tape.gradient(grads, unused).data, [0.0, 0.0])
         assert tape.gradient(grads, h) is None
         assert tape.gradient(grads, y) is None
 
     def test_mul_rule_skips_the_operand_without_grad(self):
-        from dcn.layers import DropoutLayer, dropout
-
+        rng = np.random.default_rng(161)
         x = Tensor(np.full((2, 4, 4, 3), 1.5, dtype=np.float32), requires_grad=True)
+        mask = Tensor((rng.random(x.shape) < 0.5).astype(np.float32) * 2)
         with GradTape() as tape:
-            out = dropout(x, DropoutLayer(0.5, seed=161), "train")
+            out = mul(x, mask)
         (entry,) = tape.entries
         assert entry.op == "mul"
         gx, gmask = entry.backward(np.ones_like(out.data))
-        assert gmask is None  # the dropout mask
+        assert gmask is None
         np.testing.assert_array_equal(gx, out.data / 1.5)
+
+    def test_dropout_rule_keeps_the_mask_and_matches_mul(self):
+        from dcn.layers import DropoutLayer, dropout
+
+        rng = np.random.default_rng(162)
+        x = Tensor(rng.normal(size=(2, 4, 4, 3)).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        with GradTape() as tape:
+            out = dropout(x, DropoutLayer(0.5, seed=161), "train")
+        (entry,) = tape.entries
+        assert entry.op == "dropout" and entry.input_ids == (x.node,)
+        mask = DropoutLayer(0.5, seed=161).rng.random(x.shape) < 0.5
+        scaled = mask.astype(np.float32) / np.float32(0.5)
+        assert out.data.tobytes() == (x.data * scaled).tobytes()
+        (gx,) = entry.backward(g)
+        # the same bits as mul's rule for the input times the mask
+        assert gx.tobytes() == (g * scaled).tobytes()
+        # the rule reads the mask alone, so it keeps no input
+        cells = [c.cell_contents for c in entry.backward.__closure__]
+        assert not any(c is x.data for c in cells)

@@ -495,7 +495,60 @@ class TestSplitDataset:
             split_dataset(self._tiles(), SplitSpec(250, 40, 3))
 
 
+def full_raster_synth_scene(spec):
+    """``synth_scene`` as it painted each vegetation disc: a test over the whole raster."""
+    from dcn import data
+
+    rng = np.random.default_rng(spec.seed)
+    shape = (spec.height, spec.width)
+    spectral = {role: np.full(shape, value) for role, value in data._BACKGROUND.items()}
+    dsm = np.zeros(shape)
+    mask = np.zeros(shape)
+    labels = np.full(shape, data.LABEL_BACKGROUND)
+    for y, x, bh, bw in data._place_buildings(rng, spec):
+        height = rng.uniform(*spec.building_height)
+        window = (slice(y, y + bh), slice(x, x + bw))
+        for role in spectral:
+            spectral[role][window] = data._ROOF[role]
+        dsm[window] = height
+        mask[window] = 1.0
+        labels[window] = data.LABEL_BUILDING
+    rows, cols = np.indices(shape)
+    for _ in range(int(rng.integers(spec.vegetation[0], spec.vegetation[1] + 1))):
+        cy = rng.uniform(0, spec.height)
+        cx = rng.uniform(0, spec.width)
+        ry = rng.uniform(spec.vegetation_radius[0], spec.vegetation_radius[1])
+        rx = rng.uniform(spec.vegetation_radius[0], spec.vegetation_radius[1])
+        blob = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+        blob &= mask == 0.0
+        for role in spectral:
+            spectral[role][blob] = data._VEGETATION[role]
+        dsm[blob] = data._VEGETATION_DSM
+        labels[blob] = data.LABEL_VEGETATION
+    for role in spectral:
+        spectral[role] = np.clip(spectral[role] + rng.normal(0.0, spec.noise_std, shape), 0.0, 1.0)
+    dsm = dsm + rng.normal(0.0, spec.noise_std, shape)
+    return [spectral["RED"], spectral["GREEN"], spectral["BLUE"], spectral["NIR"], dsm, mask, labels]
+
+
 class TestSynthScene:
+    @pytest.mark.parametrize(
+        "spec",
+        [SyntheticSceneSpec(seed=seed) for seed in range(3)]
+        + [
+            # discs wider than the scene, and many discs clipped at its edges
+            SyntheticSceneSpec(height=24, width=40, buildings=(1, 2), building_size=(4, 8),
+                               vegetation=(3, 3), vegetation_radius=(30, 50), seed=4),
+            SyntheticSceneSpec(height=96, width=64, vegetation=(40, 60),
+                               vegetation_radius=(1, 9), seed=5),
+        ],
+    )
+    def test_discs_on_their_boxes_equal_the_full_raster_paint(self, spec):
+        scene = synth_scene(spec)
+        want = full_raster_synth_scene(spec)
+        for band, expected in zip(scene.bands, want):
+            assert band.data.tobytes() == expected.astype(np.float32).tobytes(), band.role
+
     def test_zero_buildings_zero_mask(self):
         spec = SyntheticSceneSpec(height=64, width=64, buildings=(0, 0), seed=1)
         scene = synth_scene(spec)

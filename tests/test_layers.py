@@ -914,6 +914,60 @@ class TestConvKeptInput:
         assert held < 3 * x.data.nbytes
 
 
+def _float32_conv(rng, c):
+    """A trainable 3x3 float32 conv layer from c to c channels."""
+    return Conv2dLayer(
+        Tensor(rng.standard_normal((3, 3, c, c)), dtype=np.float32, requires_grad=True),
+        Tensor(rng.standard_normal(c), dtype=np.float32, requires_grad=True),
+    )
+
+
+class TestConvColumnBudget:
+    """Columns are built within COLUMN_BYTES, with the bits of one full GEMM."""
+
+    # [n, h, w, c]: the first two exceed the budget (correlation runs of
+    # 2-3 tiles; kernel-gradient groups of 1 and 2 kernel rows), the last fits
+    SHAPES = [(8, 64, 64, 32), (8, 64, 64, 16), (2, 16, 16, 8)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_correlate_equals_the_single_gemm(self, shape):
+        rng = np.random.default_rng(76)
+        n, h, w, c = shape
+        xd = rng.standard_normal(shape).astype(np.float32)
+        kd = rng.standard_normal((3, 3, c, c)).astype(np.float32)
+        splits = xd.nbytes * 9 > layers.COLUMN_BYTES
+        assert splits == (shape != (2, 16, 16, 8))
+        want = layers._columns(xd, 3, 3) @ kd.reshape(9 * c, c)
+        assert layers._correlate(xd, kd).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_kernel_gradient_equals_the_single_gemm(self, shape):
+        rng = np.random.default_rng(77)
+        n, h, w, c = shape
+        layer = _float32_conv(rng, c)
+        xd = rng.standard_normal(shape).astype(np.float32)
+        g = rng.standard_normal(shape).astype(np.float32)
+        _, _, gk, _ = _conv_pass(Tensor(xd, requires_grad=True), layer, Tensor(g))
+        want = layers._columns(xd, 3, 3).T @ g.reshape(n * h * w, c)
+        assert gk.tobytes() == want.tobytes()
+
+    def test_forward_and_backward_stay_within_the_budget(self):
+        rng = np.random.default_rng(78)
+        layer = _float32_conv(rng, 32)
+        x = Tensor(rng.standard_normal((8, 64, 64, 32)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with GradTape() as tape:
+                grads = backward(tape, tsum(conv2d(x, layer)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tape.gradient(grads, x).shape == x.shape
+        # full-batch columns alone would be 9 * x.nbytes
+        assert peak < 4 * x.data.nbytes + layers.COLUMN_BYTES
+
+
 def _held_after_forward(seed, forward):
     """Bytes a recorded forward leaves allocated, for a 3x3 16-channel conv layer."""
     rng = np.random.default_rng(seed)
