@@ -468,21 +468,56 @@ def _place_buildings(rng, spec: SyntheticSceneSpec):
     return rects
 
 
+_STRIP_PIXELS = 1 << 16
+"""Pixels per row strip in which ``synth_scene`` adds noise to a band."""
+
+
+def _noisy_band(
+    rng, spec: SyntheticSceneSpec, role: str, plane: np.ndarray, clip: bool
+) -> Band:
+    """The float64 ``plane`` plus one ``rng.normal`` draw of its shape, as a band.
+
+    The noise is drawn and added in place one row strip at a time, in row
+    order, and clipped to [0, 1] if ``clip``: the generator yields the
+    same values in strips as in one full-size draw, so only a strip's
+    noise is held beside the plane.
+    """
+    rows = max(1, _STRIP_PIXELS // spec.width)
+    for y in range(0, spec.height, rows):
+        strip = plane[y : y + rows]
+        strip += rng.normal(0.0, spec.noise_std, strip.shape)
+        if clip:
+            np.clip(strip, 0.0, 1.0, out=strip)
+    return Band(role, plane)
+
+
+def _spectral_plane(labels: np.ndarray, role: str) -> np.ndarray:
+    """The noiseless float64 ``role`` values of a LABELS raster, pixel by pixel."""
+    plane = np.full(labels.shape, _BACKGROUND[role])
+    plane[labels == LABEL_BUILDING] = _ROOF[role]
+    plane[labels == LABEL_VEGETATION] = _VEGETATION[role]
+    return plane
+
+
 def synth_scene(spec: SyntheticSceneSpec) -> RasterStack:
     """Build a scene: noisy background, elevated rectangular buildings,
-    high-NIR near-ground vegetation, exact MASK and LABELS rasters."""
+    high-NIR near-ground vegetation, exact MASK and LABELS rasters.
+
+    A pixel's spectral values follow from its LABELS class, so each
+    spectral band's float64 plane is built from LABELS only when its noise
+    is drawn, and is freed once the band holds its float32 copy. The
+    generator's draws keep their order: buildings, vegetation, then the
+    noise of RED, GREEN, BLUE, NIR and DSM.
+    """
     rng = np.random.default_rng(spec.seed)
     shape = (spec.height, spec.width)
-    spectral = {role: np.full(shape, value) for role, value in _BACKGROUND.items()}
     dsm = np.zeros(shape)
-    mask = np.zeros(shape)
-    labels = np.full(shape, LABEL_BACKGROUND)
+    mask = np.zeros(shape, dtype=np.float32)
+    labels = np.full(shape, LABEL_BACKGROUND, dtype=np.float32)
 
     for y, x, bh, bw in _place_buildings(rng, spec):
         height = rng.uniform(*spec.building_height)
         window = (slice(y, y + bh), slice(x, x + bw))
-        for role in spectral:
-            spectral[role][window] = _ROOF[role]
         dsm[window] = height
         mask[window] = 1.0
         labels[window] = LABEL_BUILDING
@@ -502,26 +537,16 @@ def synth_scene(spec: SyntheticSceneSpec) -> RasterStack:
         cols = np.arange(x0, x1)
         blob = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
         blob &= mask[box] == 0.0  # vegetation never paints over a roof
-        for role in spectral:
-            spectral[role][box][blob] = _VEGETATION[role]
         dsm[box][blob] = _VEGETATION_DSM
         labels[box][blob] = LABEL_VEGETATION
 
-    for role in spectral:
-        noisy = spectral[role] + rng.normal(0.0, spec.noise_std, shape)
-        spectral[role] = np.clip(noisy, 0.0, 1.0)
-    dsm = dsm + rng.normal(0.0, spec.noise_std, shape)
-
-    bands = tuple(
-        Band(role, data)
-        for role, data in (
-            ("RED", spectral["RED"]),
-            ("GREEN", spectral["GREEN"]),
-            ("BLUE", spectral["BLUE"]),
-            ("NIR", spectral["NIR"]),
-            ("DSM", dsm),
-            ("MASK", mask),
-            ("LABELS", labels),
-        )
-    )
-    return RasterStack(width=spec.width, height=spec.height, gsd=spec.gsd, bands=bands)
+    bands = [
+        _noisy_band(rng, spec, role, _spectral_plane(labels, role), True)
+        for role in ("RED", "GREEN", "BLUE", "NIR")
+    ]
+    bands += [
+        _noisy_band(rng, spec, "DSM", dsm, False),
+        Band("MASK", mask),
+        Band("LABELS", labels),
+    ]
+    return RasterStack(width=spec.width, height=spec.height, gsd=spec.gsd, bands=tuple(bands))

@@ -25,8 +25,20 @@ from .autodiff import add, div, mul, sqrt, square, sub, tmean  # noqa: F401
 
 PHASES = ("train", "infer")
 
-COLUMN_BYTES = 16 << 20
-"""Byte budget for the im2col columns a convolution builds at once; see ``conv2d``."""
+COLUMN_BYTES = 9 << 20
+"""Byte budget for the im2col columns a convolution builds at once; see ``conv2d``.
+
+9 MiB is the largest column matrix of the narrow ``8,16,32,64,128``
+model at ``--window 64`` and ``--batch 8``: 8 tiles x 4096 pixels x 72
+values x 4 bytes, so none of its convs splits. At the default widths the
+32-channel 64 px correlations (the forward pass and the input gradient,
+4.5 MiB of columns per tile) run 2 tiles at a time. Their kernel
+gradients take one kernel row a group, 12 MiB, under any budget below
+that row, so a smaller budget saves nothing there; below 9 MiB it would
+split the narrow model's convs, which then run slower. The budget stays
+above ``model.INFER_CHUNK_BYTES``, so no conv of an inference chunk
+splits.
+"""
 
 BN_EPSILON = 1e-5
 """Added to the variance before its square root in ``batch_norm``."""
@@ -219,9 +231,10 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     input gradient (returns ``None``) when ``x`` does not require grad, as
     for the data batch. The backward keeps the input, not its im2col
     columns, and rebuilds them for the kernel gradient. Every column
-    matrix, forward and backward, fits ``COLUMN_BYTES`` unless it holds
-    a single tile or kernel row: the correlations take a run of tiles at
-    a time, the kernel gradient a group of kernel rows at a time.
+    matrix, forward and backward, fits ``COLUMN_BYTES`` (9 MiB) unless it
+    holds a single tile or kernel row: the correlations take a run of
+    tiles at a time, the kernel gradient a group of kernel rows at a time.
+    Each split result has the bits of the one full-batch GEMM.
     """
     _check_batch("conv2d", x)
     kernel, bias = layer.kernel, layer.bias

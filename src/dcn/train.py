@@ -254,16 +254,30 @@ def superpixel_truth(spmap, mask: np.ndarray) -> np.ndarray:
     return (means >= 0.5).astype(np.int64)
 
 
-def _prepared_tile(model: DcnModel, record: TileRecord, dtype):
+def _tile_mask(record: TileRecord) -> np.ndarray:
+    """The tile's float32 MASK band, after checking it has one and a superpixel map."""
     if record.spmap is None:
         raise DataError(f"tile at ({record.x}, {record.y}) has no superpixel map")
-    stack = record.stack
-    if not stack.has("MASK"):
+    if not record.stack.has("MASK"):
         raise DataError(f"tile at ({record.x}, {record.y}) has no MASK band")
-    data = stack.select(model.config.input_bands).astype(dtype)
-    mask = stack.band("MASK").astype(np.int64)
-    truth = superpixel_truth(record.spmap, mask)
-    return data, record.spmap, truth, record.spmap.counts.astype(np.float64), mask
+    return record.stack.band("MASK")
+
+
+def _training_tile(record: TileRecord):
+    """A training tile as its stack, map, per-segment truth and segment pixel counts.
+
+    The stack is the record's own: ``_batch_gradients`` stacks the input
+    bands from it at each step, so no second copy of the tile's pixels,
+    input or MASK, is held.
+    """
+    truth = superpixel_truth(record.spmap, _tile_mask(record))
+    return record.stack, record.spmap, truth, record.spmap.counts.astype(np.float64)
+
+
+def _validation_tile(model: DcnModel, record: TileRecord):
+    """A validation tile as its [t, t, c_in] input, map and uint8 pixel MASK."""
+    mask = _tile_mask(record).astype(np.uint8)
+    return record.stack.select(model.config.input_bands), record.spmap, mask
 
 
 def _batch_gradients(model, prepared, indexes):
@@ -271,14 +285,19 @@ def _batch_gradients(model, prepared, indexes):
 
     The batch runs ``forward_batch`` in the train phase as one
     [n, t, t, c] pass, so every norm layer sees shared statistics, the
-    same statistics its running buffers learn for inference. Tile
-    losses fold into one weighted objective: weighting each segment by
-    pixels / (n * tile pixels) makes the total exactly the mean of the
-    per-tile weighted losses. Gradient reduction order is the fixed
-    topological order of this one graph, so reruns are bit-identical.
+    same statistics its running buffers learn for inference. Its input is
+    stacked from the tiles' bands here, at each step. Tile losses fold
+    into one weighted objective: weighting each segment by pixels / (n *
+    tile pixels) makes the total exactly the mean of the per-tile weighted
+    losses. Gradient reduction order is the fixed topological order of
+    this one graph, so reruns are bit-identical.
     """
     n = len(indexes)
-    xb = Tensor(np.stack([prepared[i][0] for i in indexes]))
+    bands = model.config.input_bands
+    xb = Tensor(
+        np.stack([prepared[i][0].select(bands) for i in indexes]),
+        dtype=model.head.kernel.data.dtype,
+    )
     maps = [prepared[i][1] for i in indexes]
     truth_all = np.concatenate([prepared[i][2] for i in indexes])
     weights_all = np.concatenate(
@@ -292,6 +311,31 @@ def _batch_gradients(model, prepared, indexes):
         grads = backward(tape, loss)
     per_param = {name: tape.gradient(grads, p).data for name, p in params.items()}
     return float(loss.data), per_param
+
+
+def _step(model, prepared, indexes, state, checkpoint_path) -> float:
+    """One Adam step on the batch ``indexes``; returns its mean tile loss.
+
+    The step's gradients and updated tensors are locals here, so they are
+    freed when it returns, not held under the next step's backward. On a
+    NumericError the batch-norm buffers the forward pass replaced are
+    restored and, with ``checkpoint_path`` set, the pre-step model is saved
+    before the error propagates.
+    """
+    buffers = model.buffers()  # the train-phase forward replaces them
+    try:
+        loss, grads = _batch_gradients(model, prepared, indexes)
+        updated, _ = adam_step(model.parameters(), grads, state)
+    except NumericError:
+        for name, tensor in buffers.items():
+            model.set_buffer(name, tensor)
+        if checkpoint_path:
+            save_checkpoint(model, checkpoint_path)
+        raise
+    for name, tensor in updated.items():
+        model.set_parameter(name, tensor)
+    model.global_step = state.t
+    return loss
 
 
 def _validation_iou(model, prepared) -> float:
@@ -313,12 +357,18 @@ def train(
     Tiles must carry MASK bands and precomputed superpixel maps. When
     ``val_tiles`` is empty the history records None for that epoch's
     IoU instead of a score.
+
+    Training tiles are held once, in the caller's records: besides them,
+    training keeps only each tile's per-segment truth and counts, and a
+    step stacks its batch input from the records' bands. A step's
+    gradients are freed when it ends, so the next step's forward and
+    backward hold only their own batch. Validation tiles keep their
+    [t, t, c_in] input and a uint8 pixel MASK.
     """
     if not train_tiles:
         raise DataError("training set is empty")
-    dtype = model.parameters()["head.kernel"].data.dtype
-    prepared = [_prepared_tile(model, r, dtype) for r in train_tiles]
-    prepared_val = [_prepared_tile(model, r, dtype) for r in val_tiles]
+    prepared = [_training_tile(r) for r in train_tiles]
+    prepared_val = [_validation_tile(model, r) for r in val_tiles]
 
     state = AdamState.create(model.parameters())
     model.global_step = state.t  # saves record the steps of this run
@@ -331,20 +381,8 @@ def train(
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            buffers = model.buffers()  # the train-phase forward replaces them
-            try:
-                loss, grads = _batch_gradients(model, prepared, batch)
-                updated, state = adam_step(model.parameters(), grads, state)
-            except NumericError:
-                for name, tensor in buffers.items():
-                    model.set_buffer(name, tensor)
-                if config.checkpoint_path:
-                    save_checkpoint(model, config.checkpoint_path)
-                raise
+            loss = _step(model, prepared, batch, state, config.checkpoint_path)
             batch_losses.append((loss, len(batch)))
-            for name, tensor in updated.items():
-                model.set_parameter(name, tensor)
-            model.global_step = state.t
 
         history.epoch.append(epoch)
         total = sum(count for _, count in batch_losses)

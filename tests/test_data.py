@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,6 +549,40 @@ class TestSynthScene:
         want = full_raster_synth_scene(spec)
         for band, expected in zip(scene.bands, want):
             assert band.data.tobytes() == expected.astype(np.float32).tobytes(), band.role
+
+    @pytest.mark.parametrize("strip", [1, 1000])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSceneSpec(seed=8),
+            SyntheticSceneSpec(height=77, width=130, noise_std=0.0, seed=9),
+            SyntheticSceneSpec(height=50, width=90, buildings=(2, 4), building_size=(4, 12),
+                               noise_std=0.4, vegetation=(10, 20), seed=10),
+        ],
+    )
+    def test_row_strips_equal_the_full_plane_draws(self, spec, strip, monkeypatch):
+        # one-row strips, and strips whose last one is short; the oracle
+        # draws each band's noise as one full-size plane
+        from dcn import data
+
+        monkeypatch.setattr(data, "_STRIP_PIXELS", strip)
+        scene = synth_scene(spec)
+        want = full_raster_synth_scene(spec)
+        for band, expected in zip(scene.bands, want):
+            assert band.data.tobytes() == expected.astype(np.float32).tobytes(), band.role
+
+    def test_peak_memory_per_pixel(self):
+        # the finished stack alone is 7 float32 bands, 28 bytes a pixel;
+        # full-size float64 planes for every band took about 97
+        spec = SyntheticSceneSpec(height=512, width=384, seed=1)
+        tracemalloc.start()
+        try:
+            scene = synth_scene(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scene.bands) == 7
+        assert peak < 60 * spec.height * spec.width
 
     def test_zero_buildings_zero_mask(self):
         spec = SyntheticSceneSpec(height=64, width=64, buildings=(0, 0), seed=1)

@@ -926,7 +926,7 @@ class TestConvColumnBudget:
     """Columns are built within COLUMN_BYTES, with the bits of one full GEMM."""
 
     # [n, h, w, c]: the first two exceed the budget (correlation runs of
-    # 2-3 tiles; kernel-gradient groups of 1 and 2 kernel rows), the last fits
+    # 2 and 4 tiles; kernel-gradient groups of 1 kernel row), the last fits
     SHAPES = [(8, 64, 64, 32), (8, 64, 64, 16), (2, 16, 16, 8)]
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -939,6 +939,25 @@ class TestConvColumnBudget:
         assert splits == (shape != (2, 16, 16, 8))
         want = layers._columns(xd, 3, 3) @ kd.reshape(9 * c, c)
         assert layers._correlate(xd, kd).tobytes() == want.tobytes()
+
+    def test_narrow_model_convs_do_not_split(self, monkeypatch):
+        # the narrow 8-channel 64 px conv at batch 8 has the largest
+        # columns of that model, 9 MiB; each of its three passes is one GEMM
+        calls = []
+        real = layers._windows
+
+        def windows(xp, kh, kw):
+            calls.append((xp.shape[0], kh))
+            return real(xp, kh, kw)
+
+        monkeypatch.setattr(layers, "_windows", windows)
+        rng = np.random.default_rng(79)
+        layer = _float32_conv(rng, 8)
+        x = Tensor(rng.standard_normal((8, 64, 64, 8)).astype(np.float32), requires_grad=True)
+        _conv_pass(x, layer, Tensor(rng.standard_normal(x.shape).astype(np.float32)))
+        assert 9 * x.data.nbytes == layers.COLUMN_BYTES
+        # forward, kernel gradient (all three kernel rows) and input gradient
+        assert calls == [(8, 3), (8, 3), (8, 3)]
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_kernel_gradient_equals_the_single_gemm(self, shape):

@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -557,6 +558,63 @@ class TestTrainLoop:
             np.testing.assert_array_equal(saved.buffers()[name].data, tensor.data, err_msg=name)
         for name, tensor in fresh.parameters().items():
             np.testing.assert_array_equal(saved.parameters()[name].data, tensor.data, err_msg=name)
+
+
+def _traced_steps(monkeypatch, records):
+    """Three-step ``train`` under tracemalloc, the model built inside the trace.
+
+    Returns the traced bytes before ``build``, each step's (bytes at the
+    entry of its ``_batch_gradients``, traced peak within it), and the
+    parameter bytes.
+    """
+    train_module = importlib.import_module("dcn.train")
+    real = train_module._batch_gradients
+    steps = []
+
+    def gradients(model, prepared, indexes):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = real(model, prepared, indexes)
+        steps.append((entry, tracemalloc.get_traced_memory()[1]))
+        return result
+
+    monkeypatch.setattr(train_module, "_batch_gradients", gradients)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = build(harness_config())
+        param_bytes = sum(p.data.nbytes for p in model.parameters().values())
+        train(model, records, [], TrainConfig(batch_size=2, epochs=1, seed=0))
+    finally:
+        tracemalloc.stop()
+    return base, steps, param_bytes
+
+
+class TestTrainMemory:
+    """A step holds its own batch, the model and the Adam moments: no
+    earlier step's gradients and no second copy of a training tile."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return harness_records(6)
+
+    def test_step_peak_excludes_the_previous_gradients(self, records, monkeypatch):
+        _, steps, param_bytes = _traced_steps(monkeypatch, records)
+        peaks = [peak for _, peak in steps]
+        assert len(peaks) == 3
+        # a step that held the previous step's gradients would peak a full
+        # parameter set above the first step, which follows none
+        assert max(peaks[1:]) - peaks[0] < param_bytes / 4, (peaks, param_bytes)
+
+    def test_training_tiles_are_held_once(self, records, monkeypatch):
+        base, steps, param_bytes = _traced_steps(monkeypatch, records)
+        # held at the first step: the model, the two Adam moments and what
+        # training keeps per tile beside the caller's record, its
+        # per-segment truth and counts; an int64 MASK would add 8 bytes a
+        # pixel and a float32 input copy 24
+        per_tile = (steps[0][0] - base - 3 * param_bytes) / len(records)
+        t = records[0].stack.width
+        assert per_tile < 8 * t * t, per_tile
 
 
 @pytest.fixture(scope="module")
