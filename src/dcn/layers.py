@@ -25,19 +25,20 @@ from .autodiff import add, div, mul, sqrt, square, sub, tmean  # noqa: F401
 
 PHASES = ("train", "infer")
 
-COLUMN_BYTES = 9 << 20
+COLUMN_BYTES = 2 << 20
 """Byte budget for the im2col columns a convolution builds at once; see ``conv2d``.
 
-9 MiB is the largest column matrix of the narrow ``8,16,32,64,128``
-model at ``--window 64`` and ``--batch 8``: 8 tiles x 4096 pixels x 72
-values x 4 bytes, so none of its convs splits. At the default widths the
-32-channel 64 px correlations (the forward pass and the input gradient,
-4.5 MiB of columns per tile) run 2 tiles at a time. Their kernel
-gradients take one kernel row a group, 12 MiB, under any budget below
-that row, so a smaller budget saves nothing there; below 9 MiB it would
-split the narrow model's convs, which then run slower. The budget stays
-above ``model.INFER_CHUNK_BYTES``, so no conv of an inference chunk
-splits.
+2 MiB keeps a training step's largest temporaries near cache size, so
+its peak memory is set by live activations rather than by the
+allocator's high-water mark from column blocks of 7 to 12 MiB. At
+``--batch 8 --window 64`` the 64 px convs of the narrow
+``8,16,32,64,128`` model and the 32 and 64 px convs of the default
+widths split: their correlations (the forward pass and the input
+gradient) run a few tiles or one tile at a time, their kernel gradients
+a kernel row or one tap at a time. A smaller budget would cut the split
+products below about 10^6 M*N*K, where OpenBLAS picks kernels whose
+bits differ from the full-batch GEMM's. Inference chunks
+(``model.INFER_CHUNK_BYTES``, 5 MiB) also split, between whole tiles.
 """
 
 BN_EPSILON = 1e-5
@@ -135,7 +136,8 @@ def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
     Each row holds one output pixel's window in the kernel's
     ``(kh, kw, cin)`` order. A 1x1 window's columns are the ``[n*h*w,
-    cin]`` view of the input itself, with nothing copied.
+    cin]`` reshape of the input: a view of a contiguous input, one
+    strided copy of a sliced one.
     """
     n, hp, wp, cin = xp.shape
     if kh == kw == 1:
@@ -187,24 +189,27 @@ def _correlate(xd: np.ndarray, kd: np.ndarray) -> np.ndarray:
 def _kernel_gradient(xd: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """``_columns(xd, kh, kw).T @ g`` as [kh*kw*cin, cout], built within ``COLUMN_BYTES``.
 
-    The kernel rows ``dy`` go in groups of as many as fit the budget, at
-    least one. A group's columns come from one strided copy of the
-    padded input, and one GEMM writes its rows of the result.
+    While a kernel row ``dy`` fits the budget, the rows go in groups of
+    as many as fit, each group's columns one strided copy of the padded
+    input. A row above the budget goes one tap ``(dy, dx)`` at a time,
+    its columns the ``[n*h*w, cin]`` copy of the input shifted by that
+    tap. One GEMM writes each group's or tap's rows of the result.
     """
     n, h, w, cin = xd.shape
     cout = g.shape[-1]
     g2 = g.reshape(n * h * w, cout)
     xp = _pad(xd, kh, kw)
-    step = max(1, COLUMN_BYTES // (n * h * w * kw * cin * xd.itemsize))
     gk = np.empty((kh * kw * cin, cout), dtype=xd.dtype)
-    for dy in range(0, kh, step):
-        rows = min(step, kh - dy)
-        # unnamed, so a group's columns are freed before the next group's are built
-        np.matmul(
-            _windows(xp[:, dy : dy + h + rows - 1], rows, kw).T,
-            g2,
-            out=gk[dy * kw * cin : (dy + rows) * kw * cin],
-        )
+    step = COLUMN_BYTES // (n * h * w * kw * cin * xd.itemsize)
+    if step:
+        parts = [(dy, 0, min(step, kh - dy), kw) for dy in range(0, kh, step)]
+    else:
+        parts = [(dy, dx, 1, 1) for dy in range(kh) for dx in range(kw)]
+    for dy, dx, rows, cols in parts:
+        window = xp[:, dy : dy + h + rows - 1, dx : dx + w + cols - 1]
+        lo = (dy * kw + dx) * cin
+        # unnamed, so a part's columns are freed before the next part's are built
+        np.matmul(_windows(window, rows, cols).T, g2, out=gk[lo : lo + rows * cols * cin])
     return gk
 
 
@@ -231,10 +236,11 @@ def conv2d(x: Tensor, layer: Conv2dLayer) -> Tensor:
     input gradient (returns ``None``) when ``x`` does not require grad, as
     for the data batch. The backward keeps the input, not its im2col
     columns, and rebuilds them for the kernel gradient. Every column
-    matrix, forward and backward, fits ``COLUMN_BYTES`` (9 MiB) unless it
-    holds a single tile or kernel row: the correlations take a run of
-    tiles at a time, the kernel gradient a group of kernel rows at a time.
-    Each split result has the bits of the one full-batch GEMM.
+    matrix, forward and backward, fits ``COLUMN_BYTES`` (2 MiB) unless it
+    holds a single tile or tap: the correlations take a run of tiles at a
+    time, the kernel gradient a group of kernel rows at a time, or one
+    tap at a time where a row is above the budget. Each split result has
+    the bits of the one full-batch GEMM.
     """
     _check_batch("conv2d", x)
     kernel, bias = layer.kernel, layer.bias

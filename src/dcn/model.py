@@ -322,9 +322,9 @@ def infer_chunk(config: DcnConfig) -> int:
     ``36 * c * t * t`` bytes, outweighs SLIC's float64 padded planes of
     the same tile, at most ``8 * c * (2t - 1)**2`` bytes, so the columns
     set the chunk. A model too wide for the budget runs one tile at a time.
-    The budget, 5 MiB, is below the 9 MiB ``layers.COLUMN_BYTES``, and a
-    conv splits its columns only between whole tiles, so every conv of a
-    chunk runs as one GEMM.
+    The budget is 5 MiB. A conv whose chunk columns are above the 2 MiB
+    ``layers.COLUMN_BYTES`` correlates the chunk in runs of whole tiles,
+    with the bits of one GEMM over the chunk.
     """
     t = config.tile_size
     widest = max(

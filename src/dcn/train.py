@@ -37,6 +37,8 @@ ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_SLICE = 1 << 16
+"""Elements of a parameter that ``adam_step`` updates at a time."""
 
 # parameters whose coordinates must stay inside the unit box
 _CLAMPED = ("codebook.prototypes",)
@@ -71,8 +73,9 @@ class AdamState:
 
     @classmethod
     def create(cls, params: dict[str, Tensor]) -> "AdamState":
-        m = {n: np.zeros_like(p.data) for n, p in params.items()}
-        v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        # C-ordered, so ``adam_step`` updates them through flat views
+        m = {n: np.zeros(p.data.shape, p.data.dtype) for n, p in params.items()}
+        v = {n: np.zeros(p.data.shape, p.data.dtype) for n, p in params.items()}
         return cls(m=m, v=v)
 
 
@@ -81,8 +84,10 @@ def adam_step(
 ) -> tuple[dict[str, Tensor], AdamState]:
     """One bias-corrected Adam update; returns fresh parameter tensors.
 
-    The moments in ``state`` are updated in place, and each step is built
-    in one scratch array; the input parameter arrays are left untouched.
+    The moments in ``state`` are updated in place and each parameter's
+    update is written into a fresh array; the input parameter arrays are
+    left untouched. The arithmetic runs on slices of ``ADAM_SLICE``
+    elements of the flattened arrays, so its scratch stays cache-sized.
 
     ``grads`` holds one array per parameter. A missing or misshapen
     gradient is a ValueError and a non-finite one a NumericError, each
@@ -107,25 +112,30 @@ def adam_step(
     correct2 = 1.0 - ADAM_BETA2**state.t
     updated = {}
     for name, param in params.items():
-        g = checked[name]
-        m, v = state.m[name], state.v[name]
-        # in the order b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and
-        # lr*(m/c1) / (sqrt(v/c2) + eps), so the bits equal those of the
-        # same expressions evaluated into fresh arrays
-        scratch = np.multiply(g, 1.0 - ADAM_BETA1)
-        m *= ADAM_BETA1
-        m += scratch
-        np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
-        scratch *= g
-        v *= ADAM_BETA2
-        v += scratch
-        data = np.divide(v, correct2)
-        np.sqrt(data, out=data)
-        data += ADAM_EPS
-        np.divide(m, correct1, out=scratch)
-        scratch *= ADAM_LR
-        scratch /= data
-        np.subtract(param.data, scratch, out=data)
+        data = np.empty(param.data.shape, param.data.dtype)
+        flats = [a.reshape(-1) for a in (checked[name], state.m[name], state.v[name])]
+        p, out = param.data.reshape(-1), data.reshape(-1)
+        scratch = np.empty(min(ADAM_SLICE, p.size), dtype=p.dtype)
+        for lo in range(0, p.size, ADAM_SLICE):
+            g, m, v = (a[lo : lo + ADAM_SLICE] for a in flats)
+            tmp, den = scratch[: g.size], out[lo : lo + ADAM_SLICE]
+            # in the order b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and
+            # lr*(m/c1) / (sqrt(v/c2) + eps), so the bits equal those of the
+            # same expressions evaluated into fresh arrays
+            np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            m *= ADAM_BETA1
+            m += tmp
+            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+            tmp *= g
+            v *= ADAM_BETA2
+            v += tmp
+            np.divide(v, correct2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            np.divide(m, correct1, out=tmp)
+            tmp *= ADAM_LR
+            tmp /= den
+            np.subtract(p[lo : lo + ADAM_SLICE], tmp, out=den)
         if name in _CLAMPED:
             np.clip(data, 0.0, 1.0, out=data)
         updated[name] = Tensor._wrap(data, requires_grad=param.requires_grad)

@@ -33,6 +33,7 @@ from dcn.layers import (
     relu,
     upsample_nearest2,
 )
+from dcn.model import DcnConfig, _layout
 
 
 def naive_conv2d(xd, kd, bd):
@@ -801,7 +802,9 @@ def _conv_pass(x, layer, probe):
 class TestConvFlatGemm:
     """Each conv pass is one 2-D GEMM; batching and skipped grads change no bits."""
 
-    @pytest.mark.parametrize("channels", [(8, 16, 32, 64, 128), (32, 64, 128, 256, 512)])
+    @pytest.mark.parametrize(
+        "channels", [(8, 16, 32, 64, 128), (32, 64, 128, 256, 512)], ids=["narrow", "default"]
+    )
     def test_batch_of_eight_matches_stacked_singles(self, channels):
         rng = np.random.default_rng(70)
         for name, layer, side in _model_convs(channels):
@@ -926,7 +929,7 @@ class TestConvColumnBudget:
     """Columns are built within COLUMN_BYTES, with the bits of one full GEMM."""
 
     # [n, h, w, c]: the first two exceed the budget (correlation runs of
-    # 2 and 4 tiles; kernel-gradient groups of 1 kernel row), the last fits
+    # 1 tile; kernel gradients by tap), the last fits
     SHAPES = [(8, 64, 64, 32), (8, 64, 64, 16), (2, 16, 16, 8)]
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -940,24 +943,49 @@ class TestConvColumnBudget:
         want = layers._columns(xd, 3, 3) @ kd.reshape(9 * c, c)
         assert layers._correlate(xd, kd).tobytes() == want.tobytes()
 
-    def test_narrow_model_convs_do_not_split(self, monkeypatch):
-        # the narrow 8-channel 64 px conv at batch 8 has the largest
-        # columns of that model, 9 MiB; each of its three passes is one GEMM
-        calls = []
+    @pytest.mark.parametrize(
+        "channels", [(8, 16, 32, 64, 128), (32, 64, 128, 256, 512)], ids=["narrow", "default"]
+    )
+    def test_model_convs_split_within_the_budget_with_single_gemm_bits(
+        self, channels, monkeypatch
+    ):
+        # every 3x3 conv of the model at --batch 8 --window 64: a column
+        # build above the budget holds one tile (a correlation run) or one
+        # tap (a kernel gradient whose kernel row is above the budget)
+        builds = []
         real = layers._windows
 
         def windows(xp, kh, kw):
-            calls.append((xp.shape[0], kh))
-            return real(xp, kh, kw)
+            cols = real(xp, kh, kw)
+            builds.append((xp.shape[0], kh * kw, cols.nbytes))
+            return cols
 
         monkeypatch.setattr(layers, "_windows", windows)
         rng = np.random.default_rng(79)
-        layer = _float32_conv(rng, 8)
-        x = Tensor(rng.standard_normal((8, 64, 64, 8)).astype(np.float32), requires_grad=True)
-        _conv_pass(x, layer, Tensor(rng.standard_normal(x.shape).astype(np.float32)))
-        assert 9 * x.data.nbytes == layers.COLUMN_BYTES
-        # forward, kernel gradient (all three kernel rows) and input gradient
-        assert calls == [(8, 3), (8, 3), (8, 3)]
+        n, t = 8, 64
+        split_runs = tap_builds = 0
+        for name, _, shape in _layout(DcnConfig(block_channels=channels, tile_size=t)):
+            if shape[:2] != (3, 3):
+                continue
+            _, _, cin, cout = shape
+            block = int(name[3])
+            side = t >> (block if name.startswith("enc") else 4 - block)
+            xd = rng.standard_normal((n, side, side, cin)).astype(np.float32)
+            kd = rng.standard_normal(shape).astype(np.float32)
+            g = rng.standard_normal((n, side, side, cout)).astype(np.float32)
+            cols = layers._columns(xd, 3, 3)
+            builds.clear()
+            got = layers._correlate(xd, kd)
+            assert all(b <= layers.COLUMN_BYTES or k == 1 for k, _, b in builds), name
+            assert got.tobytes() == (cols @ kd.reshape(9 * cin, cout)).tobytes(), name
+            split_runs += len(builds) > 1
+            builds.clear()
+            gk = layers._kernel_gradient(xd, g, 3, 3)
+            assert all(b <= layers.COLUMN_BYTES or taps == 1 for _, taps, b in builds), name
+            assert gk.tobytes() == (cols.T @ g.reshape(-1, cout)).tobytes(), name
+            tap_builds += sum(taps == 1 for _, taps, _ in builds)
+        # the 64 px convs split their correlations and go by taps
+        assert split_runs >= 3 and tap_builds >= 18
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_kernel_gradient_equals_the_single_gemm(self, shape):

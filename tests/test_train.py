@@ -21,6 +21,7 @@ from dcn.errors import DataError, NumericError
 from dcn.model import DcnConfig, build, forward, load_checkpoint, save_checkpoint
 from dcn.superpixel import SlicParams, SuperpixelMap, slic_segment, zscore_features
 from dcn.train import (
+    ADAM_SLICE,
     AdamState,
     ConfusionCounts,
     TrainConfig,
@@ -227,6 +228,29 @@ class TestAdam:
             out[name] = data
         return out
 
+    def _ten_steps_against_the_oracle(self, rng, values):
+        """Ten ``adam_step`` calls equal ``_oracle_step`` bit for bit; returns the parameters."""
+        params = {n: Tensor(a.copy(), requires_grad=True) for n, a in values.items()}
+        state = AdamState.create(params)
+        m = {n: np.zeros_like(a) for n, a in values.items()}
+        v = {n: np.zeros_like(a) for n, a in values.items()}
+        for t in range(1, 11):
+            grads = {n: rng.standard_normal(a.shape).astype(a.dtype) for n, a in values.items()}
+            # the codebook's first column is pushed up, its second down
+            grads["codebook.prototypes"][:, 0] = -np.abs(grads["codebook.prototypes"][:, 0])
+            grads["codebook.prototypes"][:, 1] = np.abs(grads["codebook.prototypes"][:, 1])
+            given = {n: p.data.tobytes() for n, p in params.items()}
+            updated, state = adam_step(params, grads, state)
+            assert {n: p.data.tobytes() for n, p in params.items()} == given
+            values = self._oracle_step(values, grads, m, v, t)
+            for name in values:
+                assert updated[name].data.dtype == values[name].dtype
+                assert updated[name].data.tobytes() == values[name].tobytes(), (name, t)
+                assert state.m[name].tobytes() == m[name].tobytes(), (name, t)
+                assert state.v[name].tobytes() == v[name].tobytes(), (name, t)
+            params = updated
+        return params
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_ten_steps_match_the_frozen_oracle_bit_for_bit(self, dtype):
         rng = np.random.default_rng(32)
@@ -235,25 +259,21 @@ class TestAdam:
             # rows at the box edges, pushed outwards, so the clamp engages
             "codebook.prototypes": np.array([[0.9995, 0.0005], [0.5, 0.001]], dtype=dtype),
         }
-        params = {n: Tensor(a.copy(), requires_grad=True) for n, a in values.items()}
-        state = AdamState.create(params)
-        m = {n: np.zeros_like(a) for n, a in values.items()}
-        v = {n: np.zeros_like(a) for n, a in values.items()}
-        for t in range(1, 11):
-            grads = {n: rng.standard_normal(a.shape).astype(dtype) for n, a in values.items()}
-            grads["codebook.prototypes"][:, 0] = -np.abs(grads["codebook.prototypes"][:, 0])
-            grads["codebook.prototypes"][:, 1] = np.abs(grads["codebook.prototypes"][:, 1])
-            given = {n: p.data.tobytes() for n, p in params.items()}
-            updated, state = adam_step(params, grads, state)
-            assert {n: p.data.tobytes() for n, p in params.items()} == given
-            values = self._oracle_step(values, grads, m, v, t)
-            for name in values:
-                assert updated[name].data.dtype == dtype
-                assert updated[name].data.tobytes() == values[name].tobytes(), (name, t)
-                assert state.m[name].tobytes() == m[name].tobytes(), (name, t)
-                assert state.v[name].tobytes() == v[name].tobytes(), (name, t)
-            params = updated
-        book = params["codebook.prototypes"].data
+        book = self._ten_steps_against_the_oracle(rng, values)["codebook.prototypes"].data
+        assert book[0, 0] == 1.0 and book[0, 1] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameters_across_slices_match_the_frozen_oracle(self, dtype):
+        # two whole slices and a remainder of 5; the codebook spans a slice
+        # boundary, with its first row at the box edges
+        rng = np.random.default_rng(33)
+        book = rng.uniform(0.0, 1.0, (2, ADAM_SLICE // 2 + 5)).astype(dtype)
+        book[0, :2] = 0.9995, 0.0005
+        values = {
+            "w": rng.standard_normal(2 * ADAM_SLICE + 5).astype(dtype),
+            "codebook.prototypes": book,
+        }
+        book = self._ten_steps_against_the_oracle(rng, values)["codebook.prototypes"].data
         assert book[0, 0] == 1.0 and book[0, 1] == 0.0
 
     def test_requires_grad_preserved(self):
