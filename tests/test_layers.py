@@ -802,9 +802,7 @@ def _conv_pass(x, layer, probe):
 class TestConvFlatGemm:
     """Each conv pass is one 2-D GEMM; batching and skipped grads change no bits."""
 
-    @pytest.mark.parametrize(
-        "channels", [(8, 16, 32, 64, 128), (32, 64, 128, 256, 512)], ids=["narrow", "default"]
-    )
+    @pytest.mark.parametrize("channels", [(8, 16, 32, 64, 128), (32, 64, 128, 256, 512)])
     def test_batch_of_eight_matches_stacked_singles(self, channels):
         rng = np.random.default_rng(70)
         for name, layer, side in _model_convs(channels):
