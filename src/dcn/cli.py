@@ -19,6 +19,12 @@ EXIT_NUMERIC = 3
 
 DEFAULT_CHANNELS = "32,64,128,256,512"
 
+# train and predict segment a tile with one superpixel per
+# SLIC_PIXELS_PER_SEGMENT pixels at compactness SLIC_COMPACTNESS; predict
+# takes the window from the checkpoint, so it segments as train did
+SLIC_PIXELS_PER_SEGMENT = 64
+SLIC_COMPACTNESS = 2.0
+
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -85,7 +91,7 @@ def _with_ndvi(stack):
 
 
 def _scene_tiles(path, flag, bands, window, stride, need_mask=False):
-    """Read the scene at ``path``, prepare ``bands`` and cut it into tiles.
+    """Read the scene at ``path``, prepare ``bands`` (and MASK when ``need_mask``) and tile it.
 
     NDVI is derived from NIR and RED when the scene lacks it. A scene
     still missing a band of ``bands``, or MASK when ``need_mask``, returns
@@ -98,8 +104,8 @@ def _scene_tiles(path, flag, bands, window, stride, need_mask=False):
     from .data import RasterStack, normalize, read_bmsr, tile
 
     scene = _with_ndvi(read_bmsr(path))
-    keep = (*bands, "MASK")
-    missing = [role for role in (keep if need_mask else bands) if not scene.has(role)]
+    keep = (*bands, "MASK") if need_mask else bands
+    missing = [role for role in keep if not scene.has(role)]
     if missing:
         if need_mask:
             return None
@@ -272,12 +278,6 @@ def _segmented(records, bands, params, chunk):
     return list(zip(chunks, maps))
 
 
-def _at_most_pixels(k, flag, pixels):
-    """A superpixel count must not exceed the pixels it segments."""
-    if k > pixels:
-        raise UsageError(f"{flag} {k} exceeds the {pixels} pixels to segment")
-
-
 def _positive(value, flag):
     if value < 1:
         raise UsageError(f"{flag} must be >= 1, got {value}")
@@ -296,23 +296,11 @@ def _check_output_dirs(*outputs):
             raise DataError(f"{flag} {path}: no such directory")
 
 
-def _slic(k, m, m_flag):
-    """SlicParams of a checked positive k; a compactness it refuses is a usage error."""
+def _pipeline_slic(window):
+    """The SLIC settings train and predict segment ``window``-sized tiles with."""
     from .superpixel import SlicParams
 
-    try:
-        return SlicParams(k_desired=k, m=m)
-    except ValueError as err:
-        raise UsageError(f"{m_flag}: {err}") from None
-
-
-def _slic_params(args, window):
-    """SlicParams from --slic-k (default: one superpixel per 64 pixels) and --slic-m."""
-    pixels = window * window
-    k = args.slic_k if args.slic_k is not None else pixels // 64
-    _positive(k, "--slic-k")
-    _at_most_pixels(k, "--slic-k", pixels)
-    return _slic(k, args.slic_m, "--slic-m")
+    return SlicParams(k_desired=window * window // SLIC_PIXELS_PER_SEGMENT, m=SLIC_COMPACTNESS)
 
 
 def cmd_synth(args):
@@ -341,13 +329,18 @@ def cmd_slic(args):
     import numpy as np
 
     from .data import Band, RasterStack, read_bmsr, write_bmsr
-    from .superpixel import slic_segment, zscore_features
+    from .superpixel import SlicParams, slic_segment, zscore_features
 
     _positive(args.k, "--k")
-    params = _slic(args.k, args.compactness, "--compactness")
+    try:
+        params = SlicParams(k_desired=args.k, m=args.compactness)
+    except ValueError as err:
+        raise UsageError(f"--compactness: {err}") from None
     _check_output_dirs(("--out", args.out))
     stack = _with_ndvi(read_bmsr(args.input))
-    _at_most_pixels(args.k, "--k", stack.width * stack.height)
+    pixels = stack.width * stack.height
+    if args.k > pixels:
+        raise UsageError(f"--k {args.k} exceeds the {pixels} pixels to segment")
     roles = tuple(r for r in stack.roles if r not in ("MASK", "LABELS"))
     if not roles:
         raise DataError(f"--input {args.input} has no feature bands")
@@ -384,14 +377,14 @@ def cmd_train(args):
     channels = _parse_channels(args.channels)
     if args.window < 32 or args.window % 32:
         raise UsageError(f"--window must be a positive multiple of 32, got {args.window}")
-    _positive(args.stride, "--stride")
+    stride = args.window if args.stride is None else _positive(args.stride, "--stride")
     _positive(args.epochs, "--epochs")
     _positive(args.batch, "--batch")
     _positive(args.dim, "--dim")
     _non_negative(args.seed, "--seed")
     if not 0.0 <= args.dropout < 1.0:
         raise UsageError(f"--dropout must lie in [0, 1), got {args.dropout}")
-    params = _slic_params(args, args.window)
+    params = _pipeline_slic(args.window)
 
     config = DcnConfig(
         block_channels=channels,
@@ -412,7 +405,7 @@ def cmd_train(args):
             "--data",
             config.input_bands,
             args.window,
-            args.stride,
+            stride,
             need_mask=True,
         )
         if tiled is not None:
@@ -453,14 +446,11 @@ def cmd_predict(args):
 
     from .data import Band, RasterStack, stitch, write_bmsr
     from .model import infer_chunk, infer_rasters, load_checkpoint
-    from .train import confusion, error_map, iou, overall_accuracy, write_ppm
 
-    if args.errmap and not args.truth:
-        raise UsageError("--errmap requires --truth to compare against")
     model = load_checkpoint(args.model)
     window = model.config.tile_size
-    params = _slic_params(args, window)
-    _check_output_dirs(("--out", args.out), ("--errmap", args.errmap))
+    params = _pipeline_slic(window)
+    _check_output_dirs(("--out", args.out))
 
     bands = model.config.input_bands
     tiled = _scene_tiles(args.input, "--input", bands, window, window)
@@ -478,27 +468,14 @@ def cmd_predict(args):
     merged = stitch(replace(tiled, tiles=tuple(out_tiles)))
     write_bmsr(merged, args.out)
     print(f"prediction -> {args.out}")
-
-    if args.truth:
-        pred = merged.band("MASK").astype(np.int64)
-        truth = _mask_band(args.truth, "--truth")
-        if truth.shape != pred.shape:
-            raise DataError(
-                f"--truth {args.truth} shape {truth.shape} does not match "
-                f"prediction shape {pred.shape}"
-            )
-        counts = confusion(pred, truth)
-        print(f"oa={overall_accuracy(counts):.6f} iou={iou(counts):.6f}")
-        if args.errmap:
-            write_ppm(error_map(pred, truth), args.errmap)
-            print(f"error map -> {args.errmap}")
     return EXIT_OK
 
 
 def cmd_eval(args):
     from .data import write_atomic
-    from .train import confusion, iou, overall_accuracy
+    from .train import confusion, error_map, iou, overall_accuracy, write_ppm
 
+    _check_output_dirs(("--json", args.json), ("--errmap", args.errmap))
     pred = _mask_band(args.pred, "--pred")
     truth = _mask_band(args.truth, "--truth")
     if pred.shape != truth.shape:
@@ -517,6 +494,9 @@ def cmd_eval(args):
     }
     write_atomic(args.json, [(json.dumps(doc, indent=2) + "\n").encode("utf-8")])
     print(f"oa={doc['oa']:.6f} iou={doc['iou']:.6f}")
+    if args.errmap:
+        write_ppm(error_map(pred, truth), args.errmap)
+        print(f"error map -> {args.errmap}")
     return EXIT_OK
 
 
@@ -544,12 +524,10 @@ def build_parser():
     p.add_argument("--batch", type=int, default=64, help="tiles per optimizer step")
     p.add_argument("--seed", type=int, default=0, help="weights + shuffling seed")
     p.add_argument("--window", type=int, default=128, help="tile side, multiple of 32")
-    p.add_argument("--stride", type=int, default=128, help="tiling stride")
+    p.add_argument("--stride", type=int, default=None, help="tiling stride (default: the window)")
     p.add_argument("--channels", default=DEFAULT_CHANNELS, help="five block widths")
     p.add_argument("--dim", type=int, default=16, help="embedding dimensionality")
     p.add_argument("--dropout", type=float, default=0.5, help="dropout rate in [0, 1)")
-    p.add_argument("--slic-k", type=int, default=None, help="superpixels per tile")
-    p.add_argument("--slic-m", type=float, default=2.0, help="SLIC compactness")
     p.add_argument("--out", required=True, help="output checkpoint .dcnw")
     p.add_argument("--history", default=None, help="optional loss-history JSON path")
     p.set_defaults(func=cmd_train)
@@ -558,16 +536,13 @@ def build_parser():
     p.add_argument("--model", required=True, help="checkpoint .dcnw")
     p.add_argument("--input", required=True, help="scene .bmsr")
     p.add_argument("--out", required=True, help="output MASK .bmsr")
-    p.add_argument("--truth", default=None, help="optional truth .bmsr with MASK band")
-    p.add_argument("--errmap", default=None, help="optional error-map .ppm (needs --truth)")
-    p.add_argument("--slic-k", type=int, default=None, help="superpixels per tile")
-    p.add_argument("--slic-m", type=float, default=2.0, help="SLIC compactness")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="compare predicted and truth masks")
     p.add_argument("--pred", required=True, help="predicted MASK .bmsr")
     p.add_argument("--truth", required=True, help="truth MASK .bmsr")
     p.add_argument("--json", required=True, help="output metrics JSON")
+    p.add_argument("--errmap", default=None, help="optional error-map .ppm")
     p.set_defaults(func=cmd_eval)
     return parser
 

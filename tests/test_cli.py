@@ -239,13 +239,18 @@ class TestTrain:
         assert cli.run(base + ["--dropout", "1.5"]) == 1
         assert "--dropout" in capsys.readouterr().err
 
-    def test_slic_k_above_window_pixels_names_flag(self, workspace, tmp_path, capsys):
-        out = str(tmp_path / "m.dcnw")
-        code = cli.run(["train", "--data", workspace["data"], "--out", out,
-                        "--window", "32", "--slic-k", "1025"])
-        assert code == 1
-        assert "--slic-k 1025 exceeds" in capsys.readouterr().err
-        assert not os.path.exists(out)
+    def test_stride_defaults_to_the_window(self, tmp_path):
+        # a 128 px scene holds four 64 px windows
+        data = str(tmp_path / "data")
+        assert cli.run(["synth", "--seed", "4", "--count", "1", "--size", "128", "--out", data]) == 0
+        argv = ["train", "--data", data, "--epochs", "1", "--batch", "4", "--window", "64",
+                "--channels", "2,2,2,2,2", "--dim", "2", "--dropout", "0.0"]
+        outputs = []
+        for name, stride in (("default", []), ("explicit", ["--stride", "64"])):
+            model, hist = str(tmp_path / f"{name}.dcnw"), str(tmp_path / f"{name}.json")
+            assert cli.run(argv + stride + ["--out", model, "--history", hist]) == 0
+            outputs.append((open(model, "rb").read(), open(hist).read()))
+        assert outputs[0] == outputs[1]
 
     def test_empty_data_directory(self, tmp_path, capsys):
         data = str(tmp_path / "empty")
@@ -287,17 +292,27 @@ class TestOutputDirectories:
         for name in ("slic_segment", "slic_segment_batch"):
             monkeypatch.setattr(sys.modules["dcn.superpixel"], name, refuse)
 
-    @pytest.mark.parametrize("flag", ["--out", "--errmap"])
+    @pytest.mark.parametrize("flag", ["--out"])
     def test_predict(self, workspace, tmp_path, capsys, flag):
-        paths = {"--out": str(tmp_path / "p.bmsr"), "--errmap": str(tmp_path / "e.ppm")}
+        out = str(tmp_path / "nope" / "p.bmsr")
+        code = cli.run(["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
+                        flag, out])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert flag in err and out in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag", ["--json", "--errmap"])
+    def test_eval(self, workspace, tmp_path, capsys, flag):
+        # --pred is missing too: the outputs are checked before it is read
+        paths = {"--json": str(tmp_path / "m.json"), "--errmap": str(tmp_path / "e.ppm")}
         paths[flag] = str(tmp_path / "nope" / os.path.basename(paths[flag]))
-        argv = ["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
-                "--truth", _mask(workspace, 0)]
+        argv = ["eval", "--pred", str(tmp_path / "gone.bmsr"), "--truth", _mask(workspace, 0)]
         code = cli.run(argv + [arg for pair in paths.items() for arg in pair])
         err = capsys.readouterr().err
         assert code == 2, err
         assert flag in err and paths[flag] in err
-        assert not os.path.exists(paths["--out"])
+        assert not os.listdir(tmp_path)
 
     def test_slic(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "nope" / "labels.bmsr")
@@ -309,34 +324,40 @@ class TestOutputDirectories:
 
 
 class TestPredict:
-    def test_writes_mask_and_errmap(self, workspace, tmp_path, capsys):
+    def test_writes_a_binary_mask(self, workspace, tmp_path, capsys):
         pred = str(tmp_path / "pred.bmsr")
-        ppm = str(tmp_path / "err.ppm")
         code = cli.run(
-            [
-                "predict",
-                "--model", workspace["model"],
-                "--input", _scene(workspace, 0),
-                "--out", pred,
-                "--truth", _mask(workspace, 0),
-                "--errmap", ppm,
-            ]
+            ["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
+             "--out", pred]
         )
         assert code == 0
-        captured = capsys.readouterr().out
-        assert "oa=" in captured and "iou=" in captured
+        assert capsys.readouterr().out == f"prediction -> {pred}\n"
         stack = read_bmsr(pred)
         assert stack.roles == ("MASK",)
         mask = stack.band("MASK")
         assert mask.shape == (64, 64)
         assert set(np.unique(mask)) <= {0.0, 1.0}
-        blob = open(ppm, "rb").read()
-        assert blob.startswith(b"P6\n64 64\n255\n")
-        pixels = np.frombuffer(blob[len(b"P6\n64 64\n255\n"):], np.uint8).reshape(64, 64, 3)
-        truth = read_bmsr(_mask(workspace, 0)).band("MASK").astype(np.int64)
-        counts = confusion(mask.astype(np.int64), truth)
-        white = int((pixels == 255).all(axis=2).sum())
-        assert white == counts.tp
+
+    def test_segments_as_train_did(self, workspace, tmp_path, monkeypatch):
+        # one process, so every call is seen here: k = 32 * 32 // 64, m = 2
+        monkeypatch.delenv("DCN_THREADS", raising=False)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+        superpixel = sys.modules["dcn.superpixel"]
+        seen, real = [], superpixel.slic_segment_batch
+
+        def spy(features, params):
+            seen.append(params)
+            return real(features, params)
+
+        monkeypatch.setattr(superpixel, "slic_segment_batch", spy)
+        model = str(tmp_path / "m.dcnw")
+        assert cli.run(["train", "--data", workspace["data"], "--epochs", "1", "--window", "32",
+                        "--channels", "2,2,2,2,2", "--dim", "2", "--out", model]) == 0
+        trained = len(seen)
+        assert cli.run(["predict", "--model", model, "--input", _scene(workspace, 0),
+                        "--out", str(tmp_path / "p.bmsr")]) == 0
+        assert 0 < trained < len(seen)
+        assert set(seen) == {dcn.SlicParams(k_desired=16, m=2.0)}
 
     def test_deterministic(self, workspace, tmp_path):
         outs = [str(tmp_path / f"{name}.bmsr") for name in ("a", "b")]
@@ -369,22 +390,6 @@ class TestPredict:
         assert code == 2 and err.startswith("data error:"), err
         assert path in err and "dec4.bn" in err and "running_var" in err and message in err
         assert not os.path.exists(out)
-
-    def test_slic_k_above_tile_pixels_names_flag(self, workspace, tmp_path, capsys):
-        out = str(tmp_path / "p.bmsr")
-        code = cli.run(["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
-                        "--out", out, "--slic-k", "4097"])
-        assert code == 1
-        assert "--slic-k 4097 exceeds" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
-    def test_errmap_requires_truth(self, workspace, tmp_path, capsys):
-        code = cli.run(
-            ["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
-             "--out", str(tmp_path / "p.bmsr"), "--errmap", str(tmp_path / "e.ppm")]
-        )
-        assert code == 1
-        assert "--errmap" in capsys.readouterr().err
 
     def test_indivisible_scene_is_a_data_error(self, workspace, tmp_path, capsys):
         data = str(tmp_path / "wide")
@@ -518,6 +523,21 @@ class TestEval:
             counts.tp, counts.fp, counts.fn, counts.tn
         )
 
+    def test_errmap_colours_each_pixel_by_its_confusion_class(self, workspace, tmp_path):
+        out, ppm = str(tmp_path / "metrics.json"), str(tmp_path / "err.ppm")
+        code = cli.run(
+            ["eval", "--pred", _mask(workspace, 0), "--truth", _mask(workspace, 1),
+             "--json", out, "--errmap", ppm]
+        )
+        assert code == 0
+        doc = json.loads(open(out).read())
+        blob = open(ppm, "rb").read()
+        assert blob.startswith(b"P6\n64 64\n255\n")
+        pixels = np.frombuffer(blob[len(b"P6\n64 64\n255\n"):], np.uint8).reshape(-1, 3)
+        colours = {"tn": (0, 0, 0), "fp": (255, 0, 0), "fn": (0, 0, 255), "tp": (255, 255, 255)}
+        for name, colour in colours.items():
+            assert int((pixels == colour).all(axis=1).sum()) == doc[name] > 0, name
+
     def test_shape_mismatch(self, workspace, tmp_path, capsys):
         data = str(tmp_path / "small")
         assert cli.run(["synth", "--seed", "2", "--count", "1", "--size", "32", "--out", data]) == 0
@@ -615,11 +635,8 @@ class TestExitCodes:
         runs = [
             (["synth", "--seed", "-1", "--count", "1", "--size", "32", "--out", out], "--seed"),
             (["train", "--data", workspace["data"], "--seed", "-1", "--out", out], "--seed"),
-            (["train", "--data", workspace["data"], "--slic-m", "nan", "--out", out], "--slic-m"),
             (["slic", "--input", _scene(workspace, 0), "--k", "4", "--compactness", "nan",
               "--out", out], "--compactness"),
-            (["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
-              "--slic-m", "nan", "--out", out], "--slic-m"),
         ]
         for argv, flag in runs:
             assert cli.run(argv) == 1, argv
@@ -636,12 +653,8 @@ class TestExitCodes:
         runs = [
             (["slic", "--input", _scene(workspace, 0), "--k", "4", "--compactness", "1e300",
               "--out", out], "--compactness"),
-            (["train", "--data", workspace["data"], "--slic-m", "1e200", "--out", out],
-             "--slic-m"),
             (["slic", "--input", _scene(workspace, 0), "--k", "4", "--compactness", "inf",
               "--out", out], "--compactness"),
-            (["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
-              "--slic-m", "inf", "--out", out], "--slic-m"),
         ]
         for argv, flag in runs:
             assert cli.run(argv) == 1, argv
@@ -659,13 +672,9 @@ class TestExitCodes:
               "--out", out], "--compactness"),
             (["slic", "--input", _scene(workspace, 0), "--k", "4", "--compactness", "1e154",
               "--out", out], "--compactness"),
-            (["predict", "--model", workspace["model"], "--input", _scene(workspace, 0),
-              "--slic-m", "1.3e154", "--out", out], "--slic-m"),
             # refused before any raster is read
             (["slic", "--input", str(tmp_path / "missing.bmsr"), "--k", "4",
               "--compactness", "1e154", "--out", out], "--compactness"),
-            (["predict", "--model", workspace["model"], "--input", str(tmp_path / "missing.bmsr"),
-              "--slic-m", "1.3e154", "--out", out], "--slic-m"),
         ]
         for argv, flag in runs:
             assert cli.run(argv) == 1, argv
@@ -768,12 +777,10 @@ class TestSegmentWorkers:
         outputs = []
         for count in (1, 2, 3):
             forked = self._workers(monkeypatch, count)
-            pred, err = str(tmp_path / f"p{count}.bmsr"), str(tmp_path / f"e{count}.ppm")
-            argv = ["predict", "--model", checkpoint, "--input", scene, "--out", pred,
-                    "--truth", scene.replace("scene_", "mask_"), "--errmap", err]
-            assert cli.run(argv) == 0
+            pred = str(tmp_path / f"p{count}.bmsr")
+            assert cli.run(["predict", "--model", checkpoint, "--input", scene, "--out", pred]) == 0
             assert len(forked) == count - 1
-            outputs.append((open(pred, "rb").read(), open(err, "rb").read()))
+            outputs.append(open(pred, "rb").read())
         self._assert_no_child_left()
         assert outputs[0] == outputs[1] == outputs[2]
 
